@@ -4,7 +4,7 @@ heavy-tailed jump noise on [0, T] x [0, L] with absorbing boundaries.
 Subpackages by responsibility: ``noise`` (sampling and compensated
 integration of the jump field), ``kernel`` (Dirichlet heat kernel),
 ``coefficients`` (declarative coefficient registry with audited
-hypotheses), ``solvers`` (mild fixed-point and spectral projection
+hypotheses), ``solvers`` (causal mild-form and spectral projection
 solvers), ``experiments`` (seeded Monte Carlo checks), ``cli`` (one
 config-driven command-line entry point).
 """
@@ -33,9 +33,7 @@ from .errors import (
     ConfigError,
     DeltaSingularityError,
     DivergenceError,
-    ExperimentFailure,
     HypothesisError,
-    NonContractionError,
     NumericalError,
     ParameterError,
     StableHeatError,

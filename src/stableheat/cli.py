@@ -24,7 +24,6 @@ from . import coefficients as coef
 from . import experiments as exp
 from .errors import (
     ConfigError,
-    ExperimentFailure,
     NumericalError,
     ParameterError,
     StableHeatError,
@@ -160,7 +159,6 @@ class RunConfig:
     problem: ProblemSpec
     grid: GridSpec
     solver_method: str
-    solver_tol: float
     solver_window_steps: int
     solver_modes: int
     experiments: dict
@@ -232,13 +230,15 @@ class RunConfig:
         problem = ProblemSpec(params, trunc, dom, drift, noise_coef, init)
 
         solver = dict(raw.get("solver", {}))
+        # "tol" is a v1 key with no effect: solve_mild computes the exact
+        # fixed point without iterating.  It is accepted so that existing
+        # configs still load, and it is not echoed.
         _require_keys(
             solver, {"method", "tol", "window_steps", "modes"}, set(), "solver"
         )
         method = solver.get("method", "mild")
         if method not in ("mild", "galerkin", "both"):
             raise ConfigError("solver.method must be one of mild, galerkin, both")
-        tol = float(solver.get("tol", 1e-10))
         window_steps = int(solver.get("window_steps", 4))
         modes = int(solver.get("modes", min(16, grid.n_x // 4)))
 
@@ -266,7 +266,6 @@ class RunConfig:
             "initial": init.canonical(),
             "solver": {
                 "method": method,
-                "tol": tol,
                 "window_steps": window_steps,
                 "modes": modes,
             },
@@ -278,7 +277,6 @@ class RunConfig:
             problem=problem,
             grid=grid,
             solver_method=method,
-            solver_tol=tol,
             solver_window_steps=window_steps,
             solver_modes=modes,
             experiments=experiments,
@@ -344,7 +342,7 @@ def cmd_sample_noise(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_solve(cfg: RunConfig, out_dir: str, threads: int = 1) -> int:
+def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     """Run the selected solver(s) and write CSV + metadata (+ discrepancy)."""
     _echo_config(cfg, out_dir)
     sol_dir = os.path.join(out_dir, "solutions")
@@ -359,7 +357,6 @@ def cmd_solve(cfg: RunConfig, out_dir: str, threads: int = 1) -> int:
             cfg.problem,
             realization,
             cfg.grid,
-            tol=cfg.solver_tol,
             window_steps=cfg.solver_window_steps,
         )
         sol.save_csv(os.path.join(sol_dir, "mild.csv"))
@@ -536,7 +533,7 @@ def main(argv=None) -> int:
         if args.command == "sample-noise":
             return cmd_sample_noise(cfg, out_dir)
         if args.command == "solve":
-            return cmd_solve(cfg, out_dir, threads=args.threads)
+            return cmd_solve(cfg, out_dir)
         return cmd_verify(cfg, out_dir, threads=args.threads)
     except ParameterError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
@@ -544,9 +541,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ExperimentFailure as exc:
-        print(f"experiment failure: {exc}", file=sys.stderr)
-        return EXIT_EXPERIMENT
     except StableHeatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,9 +1,10 @@
 """Exception hierarchy shared by all stableheat modules.
 
-Three top-level classes map onto the CLI exit-code discipline:
+Two top-level classes map onto the CLI exit-code discipline:
 validation problems (bad parameters, violated hypotheses, malformed
-configs), numerical problems (accuracy, non-contraction, blow-up), and
-experiment failures (a check ran cleanly but its target was missed).
+configs) and numerical problems (accuracy, blow-up).  An experiment
+that runs cleanly but misses its target is not an exception: its
+report says so, and the CLI exits with its own code.
 """
 
 
@@ -47,22 +48,9 @@ class DeltaSingularityError(NumericalError):
     """Pointwise kernel evaluation requested at the delta singularity."""
 
 
-class NonContractionError(NumericalError):
-    """Fixed-point iteration failed to contract on a time window."""
-
-    def __init__(self, message, window=None, ratio=None):
-        super().__init__(message)
-        self.window = window
-        self.ratio = ratio
-
-
 class BlowUpError(NumericalError):
     """Non-finite values appeared in a solution path."""
 
     def __init__(self, message, path_seed=None):
         super().__init__(message)
         self.path_seed = path_seed
-
-
-class ExperimentFailure(StableHeatError):
-    """An experiment ran to completion but did not meet its target."""

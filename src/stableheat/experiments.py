@@ -339,15 +339,19 @@ def run_comparison(
         )
     if problem_u.noise_coef != problem_v.noise_coef:
         raise ParameterError("comparison requires a shared noise coefficient")
+    t_range = (0.0, problem_u.dom.horizon_T)
+    x_range = (0.0, problem_u.dom.length_L)
     try:
-        validate_hypothesis(problem_u.noise_coef, require_monotone=True)
+        validate_hypothesis(
+            problem_u.noise_coef, True, t_range=t_range, x_range=x_range
+        )
     except HypothesisError as exc:
         raise HypothesisError(
             f"comparison hypothesis violated: noise coefficient must be "
             f"non-decreasing in the state ({exc})",
             witness=exc.witness,
         ) from exc
-    dominates(problem_u.drift, problem_v.drift)
+    dominates(problem_u.drift, problem_v.drift, t_range=t_range, x_range=x_range)
     problem_u.validate()
     problem_v.validate()
 
@@ -497,10 +501,10 @@ def run_consistency(
 ) -> ExperimentReport:
     """Coupled solves at two cutoffs agree before the first excess jump.
 
-    Both solves run to their exact discrete fixed points (tol=0) on the
-    same filtered realization, so grid rows strictly before the
-    stopping time must agree to relative 1e-12 (they are bitwise equal
-    by construction; the tolerance only guards the arithmetic).
+    Both solves compute their exact discrete fixed points on the same
+    filtered realization, so grid rows strictly before the stopping time
+    must agree to relative 1e-12 (they are bitwise equal by
+    construction; the tolerance only guards the arithmetic).
     Asymmetric tails are refused: there the two cutoffs carry different
     compensator drifts, the solutions genuinely differ before the
     stopping time, and no finite tolerance separates that discrepancy
@@ -530,16 +534,12 @@ def run_consistency(
             problem.with_truncation(r_small.truncation),
             r_small,
             grid,
-            tol=0.0,
-            adaptive=False,
             window_steps=window_steps,
         )
         u_large = solve_mild(
             problem.with_truncation(r_large.truncation),
             r_large,
             grid,
-            tol=0.0,
-            adaptive=False,
             window_steps=window_steps,
         )
         r_stop = stopping_time(r_large, K_small)

@@ -168,9 +168,12 @@ class NoiseRealization:
     """One sampled path of the truncated noise: finite jumps plus drift.
 
     ``taus``, ``xs``, ``zs`` are parallel arrays sorted by jump time
-    (ties keep generation order).  ``compensator_mu`` is the closed-form
-    drift density for the realization's parameters, stored so that
-    integration never recomputes it inconsistently.
+    (ties keep generation order), with every point in [0,T] x [0,L] and
+    every magnitude in (eps, K]; construction refuses anything else,
+    because the solvers assign jumps to time steps by that order.
+    ``compensator_mu`` is the closed-form drift density for the
+    realization's parameters, stored so that integration never
+    recomputes it inconsistently.
     """
 
     params: StableParams
@@ -183,6 +186,18 @@ class NoiseRealization:
     seed: int
 
     def __post_init__(self):
+        taus, xs, mags = self.taus, self.xs, np.abs(self.zs)
+        if taus.ndim != 1 or xs.shape != taus.shape or mags.shape != taus.shape:
+            raise ParameterError("taus, xs and zs must be 1-d arrays of one length")
+        if not np.all(np.diff(taus) >= 0.0):
+            raise ParameterError("jump times must be sorted in time")
+        if not np.all((taus >= 0.0) & (taus <= self.domain.horizon_T)):
+            raise ParameterError("jump times must lie in [0, T]")
+        if not np.all((xs >= 0.0) & (xs <= self.domain.length_L)):
+            raise ParameterError("jump positions must lie in [0, L]")
+        trunc = self.truncation
+        if not np.all((mags > trunc.small_cutoff_eps) & (mags <= trunc.big_cutoff_K)):
+            raise ParameterError("jump magnitudes must lie in (eps, K]")
         for arr in (self.taus, self.xs, self.zs):
             arr.setflags(write=False)
 

@@ -1,16 +1,15 @@
 """Two independent solvers for the truncated jump-driven heat equation.
 
-``solve_mild`` iterates the heat-kernel integral form of the equation to
-a fixed point on successive time windows.  Within a window the map is
-strictly causal: drift integrals use left-endpoint quadrature on the
-grid times, and each jump reads the state at its own left limit, so the
-discretized map is strictly lower triangular in event order.  Two
-consequences are exploited deliberately:
+``solve_mild`` solves the heat-kernel integral form of the equation on
+successive time windows.  Within a window the map is strictly causal:
+drift integrals use left-endpoint quadrature on the grid times, and each
+jump reads the state at its own left limit, so the discretized map is
+strictly lower triangular in event order.  Two consequences are
+exploited deliberately:
 
-* successive substitution converges in finitely many sweeps, so
-  ``tol=0.0`` requests the exact floating-point fixed point (used by
-  the cross-cutoff consistency experiment, which demands agreement far
-  below any iteration tolerance);
+* one forward pass in time order computes the exact fixed point of the
+  map, with no iteration and no tolerance (the cross-cutoff consistency
+  experiment demands agreement far below any iteration tolerance);
 * values at times before the first event that distinguishes two coupled
   runs are bitwise identical between them.
 
@@ -32,11 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import CoefficientSpec, InitialCondition, validate_hypothesis
-from .errors import (
-    BlowUpError,
-    NonContractionError,
-    ParameterError,
-)
+from .errors import BlowUpError, ParameterError
 from .kernel import KernelEvaluator
 from .noise import (
     NoiseRealization,
@@ -103,8 +98,11 @@ class ProblemSpec:
 
     def validate(self, require_monotone: bool = False) -> None:
         """Audit the coefficient hypotheses and the initial condition."""
-        validate_hypothesis(self.drift, require_monotone=False)
-        validate_hypothesis(self.noise_coef, require_monotone=require_monotone)
+        t_range, x_range = (0.0, self.dom.horizon_T), (0.0, self.dom.length_L)
+        validate_hypothesis(self.drift, t_range=t_range, x_range=x_range)
+        validate_hypothesis(
+            self.noise_coef, require_monotone, t_range=t_range, x_range=x_range
+        )
         self.init.validate_dirichlet(self.dom.length_L)
 
     def with_truncation(self, trunc: TruncationSpec) -> "ProblemSpec":
@@ -139,8 +137,10 @@ class GridSolution:
     values: np.ndarray  # shape (n_t + 1, n_x + 1)
     problem: ProblemSpec
     grid: GridSpec
+    # Passes per mild-solver window: always 1, since the causal march
+    # never iterates.  perfbench/tracing.py counts windows and sweeps
+    # from this list, and its smoke test requires those counters.
     picard_iterations: list = field(default_factory=list)
-    contraction_ratios: list = field(default_factory=list)
     solver_tag: str = "mild"
 
     def __post_init__(self):
@@ -167,10 +167,6 @@ class GridSolution:
         return {
             "solver_tag": self.solver_tag,
             "grid": {"n_t": self.grid.n_t, "n_x": self.grid.n_x},
-            "picard_iterations": list(self.picard_iterations),
-            "contraction_ratios": [
-                None if not math.isfinite(r) else r for r in self.contraction_ratios
-            ],
         }
 
 
@@ -221,7 +217,7 @@ def grid_lp_norm_p(row: np.ndarray, dx: float, p: float) -> float:
     return float(dx * (0.5 * ap[0] + ap[1:-1].sum() + 0.5 * ap[-1]))
 
 
-# -- mild-form fixed-point solver ----------------------------------------
+# -- mild-form causal-march solver ----------------------------------------
 
 _lag_matrix_cache: dict = {}
 
@@ -233,41 +229,38 @@ def _lag_matrices(
     w_q: float,
     dt: float,
     max_lag: int,
-) -> list:
-    """Kernel application matrices at lags dt..max_lag*dt (quadrature folded in)."""
+) -> np.ndarray:
+    """Kernel application matrices at lags dt..max_lag*dt (quadrature folded in).
+
+    Shape (max_lag, len(x_all), len(y_q)); ``mats[:k].reshape(-1, len(y_q))``
+    applies the first k lags to one source column in a single product.
+    """
     key = (ke, x_all.size, y_q.size, repr(dt), max_lag)
     hit = _lag_matrix_cache.get(key)
     if hit is not None:
         return hit
-    mats = [
-        ke.eval(k * dt, x_all[:, None], y_q[None, :]) * w_q
-        for k in range(1, max_lag + 1)
-    ]
+    mats = np.stack(
+        [
+            ke.eval(k * dt, x_all[:, None], y_q[None, :]) * w_q
+            for k in range(1, max_lag + 1)
+        ]
+    )
     if len(_lag_matrix_cache) > 8:
         _lag_matrix_cache.clear()
     _lag_matrix_cache[key] = mats
     return mats
 
 
-class _WindowNotContracting(Exception):
-    def __init__(self, ratio):
-        self.ratio = ratio
-
-
-def _integrand_matrix(problem, mu, s_times, y_q, u_cols, gauss_cols):
-    """Columns of the drift-like integrand (f - mu*phi [+ Gaussian]) at grid sources."""
-    h = np.empty((y_q.size, len(s_times)))
-    for j, (s, ucol) in enumerate(zip(s_times, u_cols)):
-        fv = problem.drift.evaluate(s, y_q, ucol)
-        col = np.asarray(fv, float)
-        if mu != 0.0 or gauss_cols is not None:
-            pv = np.asarray(problem.noise_coef.evaluate(s, y_q, ucol), float)
-            if mu != 0.0:
-                col = col - mu * pv
-            if gauss_cols is not None:
-                col = col + pv * gauss_cols[j]
-        h[:, j] = col
-    return h
+def _integrand_column(problem, mu, s, y_q, u, gauss_row):
+    """Drift-like integrand f - mu*phi (+ phi * Gaussian field) at one grid source."""
+    col = np.asarray(problem.drift.evaluate(s, y_q, u), float)
+    if mu != 0.0 or gauss_row is not None:
+        pv = np.asarray(problem.noise_coef.evaluate(s, y_q, u), float)
+        if mu != 0.0:
+            col = col - mu * pv
+        if gauss_row is not None:
+            col = col + pv * gauss_row
+    return col
 
 
 def _solve_window(
@@ -282,178 +275,97 @@ def _solve_window(
     w,
     dt,
     v_a_q,
-    jump_slice,
+    jumps,
     gauss_rows,
-    tol,
-    max_iter,
-    adaptive,
-    stack_cache,
 ):
-    """Fixed-point solve of the mild map on one window of w grid steps.
+    """The mild map on one window of w grid steps, solved in one causal pass.
 
-    Returns (targets, iterations, max_ratio) where targets has shape
-    (w, len(x_all)).  Raises _WindowNotContracting to request halving.
+    ``jumps`` holds the window's time-sorted jumps in (a, a + w*dt].
+    Returns (targets, u_left): targets has shape (w, len(x_all)) and
+    u_left holds the state at each jump's left limit.
     """
     a = a_idx * dt
+    n_q = y_q.size
     lag_min = _LAG_MIN_FACTOR * (w_q * w_q)
-    jt, jx, jz = jump_slice
+    mu = noise.compensator_mu
+    jt, jx, jz = jumps
     n_jump = jt.size
     t_targets = a + dt * np.arange(1, w + 1)
 
-    # Propagation of the window-initial state to every target time.
-    base = np.stack([kmats[i - 1] @ v_a_q for i in range(1, w + 1)])
-
-    # Jump-to-target kernel columns, fixed across sweeps.
-    jcols = {}
-    for l in range(n_jump):
-        for i in range(1, w + 1):
-            if jt[l] <= t_targets[i - 1]:
-                lag = max(t_targets[i - 1] - jt[l], 1e-18)
-                jcols[(l, i)] = ke.eval(lag, x_all, jx[l])
-
-    # Rows used by the scalar left-limit evaluations at jump times are
-    # pure geometry, so they are built once per window and reused by
-    # every sweep.  Lags below the quadrature resolution fall back to
-    # interpolation (the kernel acts as the identity there).
-    def make_row(lag, x_pt):
+    # Scalar kernel row applied at a jump point.  Lags below the
+    # quadrature resolution fall back to interpolation (the kernel acts
+    # as the identity there).
+    def row_apply(lag, x_pt, vec_q):
         if lag < lag_min:
-            return None  # identity semantics
-        return ke.eval(lag, float(x_pt), y_q) * w_q
-
-    def row_apply(row, x_pt, vec_q):
-        if row is None:
             return float(np.interp(x_pt, y_q, vec_q))
-        return float(row @ vec_q)
+        return float((ke.eval(lag, float(x_pt), y_q) * w_q) @ vec_q)
 
-    jrow_va = []  # propagation row of v_a to each jump point
-    jrow_drift = []  # (source index, weight, row) per grid source
-    for l in range(n_jump):
-        jrow_va.append(make_row(jt[l] - a, jx[l]))
-        entries = []
-        j = 0
-        while a + j * dt < jt[l] and j < w:
-            s_j = a + j * dt
-            weight = min(a + (j + 1) * dt, jt[l]) - s_j
-            entries.append((j, weight, make_row(jt[l] - s_j, jx[l])))
-            j += 1
-        jrow_drift.append(entries)
-
-    gs = np.zeros((n_jump, n_jump))
-    for l in range(n_jump):
-        for k in range(l):
-            if jt[l] > jt[k]:
-                gs[l, k] = float(
-                    ke.eval(max(jt[l] - jt[k], 1e-18), jx[l], jx[k])
-                )
-
-    s_times = a + dt * np.arange(w)
-
-    # Initial sweep state: pure propagation of the window-initial data.
-    u_state = [v_a_q] + [base[j - 1][-y_q.size:] for j in range(1, w)]
-    upre = np.array(
-        [row_apply(r, jx[l], v_a_q) for l, r in enumerate(jrow_va)], dtype=float
-    )
-    targets_old = base.copy()
-
-    n_all = x_all.size
-    k_stack = stack_cache.get(w)  # one fused GEMM per sweep
-    if k_stack is None:
-        k_stack = stack_cache[w] = np.vstack(kmats[:w])
-
-    iterations = 0
-    ratios = []
-    d_prev = None
-    while True:
-        iterations += 1
-        h = _integrand_matrix(problem, noise.compensator_mu, s_times, y_q, u_state, gauss_rows)
-        phi_j = (
-            np.asarray(problem.noise_coef.evaluate(jt, jx, upre), float).reshape(-1)
-            if n_jump
-            else np.zeros(0)
+    # Propagation of the window-initial state to every target time.
+    targets = (kmats[:w].reshape(-1, n_q) @ v_a_q).reshape(w, -1)
+    h = np.empty((w, n_q))
+    u_left = np.empty(n_jump)
+    kick = np.empty(n_jump)  # phi(tau-, x, u(tau-)) * z per jump
+    l = 0
+    for j in range(w):
+        # Sources s_0..s_(j-1) and every jump up to s_j have reached the
+        # target at s_j, so the state there is final.
+        u_j = v_a_q if j == 0 else targets[j - 1, -n_q:]
+        h[j] = _integrand_column(
+            problem, mu, a + j * dt, y_q, u_j,
+            None if gauss_rows is None else gauss_rows[j],
         )
+        # Source s_j reaches the later targets at lags dt..(w-j)*dt.
+        prop = kmats[: w - j].reshape(-1, n_q) @ h[j]
+        targets[j:] += dt * prop.reshape(w - j, -1)
 
-        conv = (k_stack @ h).reshape(w, n_all, w)
-        targets = base.copy()
-        for i in range(1, w + 1):
-            acc = targets[i - 1]
-            for k in range(1, i + 1):
-                acc += dt * conv[k - 1][:, i - k]
-            for l in range(n_jump):
-                if (l, i) in jcols:
-                    acc += jcols[(l, i)] * (phi_j[l] * jz[l])
-
-        upre_new = np.empty(n_jump)
-        for l in range(n_jump):
-            val = row_apply(jrow_va[l], jx[l], v_a_q)
-            for j, weight, row in jrow_drift[l]:
-                val += weight * row_apply(row, jx[l], h[:, j])
+        # Jumps in (s_j, s_(j+1)], in time order: each reads v_a, the
+        # drift sources s_0..s_j and the earlier jumps of the window.
+        while l < n_jump and jt[l] <= t_targets[j]:
+            val = row_apply(jt[l] - a, jx[l], v_a_q)
+            for k in range(j + 1):
+                s_k = a + k * dt
+                weight = min(a + (k + 1) * dt, jt[l]) - s_k
+                val += weight * row_apply(jt[l] - s_k, jx[l], h[k])
             for k in range(l):
-                if gs[l, k] != 0.0:
-                    val += gs[l, k] * phi_j[k] * jz[k]
-            upre_new[l] = val
+                if jt[l] > jt[k]:
+                    val += float(ke.eval(jt[l] - jt[k], jx[l], jx[k])) * kick[k]
+            u_left[l] = val
+            phi = float(problem.noise_coef.evaluate(jt[l], jx[l], val))
+            kick[l] = phi * jz[l]
+            for i in range(j, w):
+                lag = max(t_targets[i] - jt[l], 1e-18)
+                targets[i] += ke.eval(lag, x_all, jx[l]) * kick[l]
+            l += 1
 
-        d = float(np.max(np.abs(targets - targets_old))) if targets.size else 0.0
-        if n_jump:
-            d = max(d, float(np.max(np.abs(upre_new - upre))))
-        if not np.isfinite(d):
-            raise BlowUpError(
-                f"non-finite Picard iterate in window starting at t={a:.6g}",
-                path_seed=noise.seed,
-            )
-        if d_prev is not None and d_prev > 0.0:
-            ratios.append(d / d_prev)
-        d_prev = d
-
-        u_state = [v_a_q] + [targets[j - 1][-y_q.size:] for j in range(1, w)]
-        upre = upre_new
-        targets_old = targets
-
-        if d <= tol:
-            break
-        if adaptive and w > 1 and iterations >= 4 and ratios and ratios[-1] >= 0.9:
-            raise _WindowNotContracting(ratios[-1])
-        if iterations >= max_iter:
-            if adaptive and w > 1:
-                raise _WindowNotContracting(ratios[-1] if ratios else math.nan)
-            raise NonContractionError(
-                f"Picard iteration did not reach tol={tol} within {max_iter} "
-                f"sweeps on window [{a:.6g}, {a + w * dt:.6g}]",
-                window=(a, a + w * dt),
-                ratio=ratios[-1] if ratios else math.nan,
-            )
-
-    max_ratio = max(ratios) if ratios else math.nan
-    return targets_old, iterations, max_ratio
+    if not (np.all(np.isfinite(targets)) and np.all(np.isfinite(u_left))):
+        raise BlowUpError(
+            f"non-finite state in window starting at t={a:.6g}",
+            path_seed=noise.seed,
+        )
+    return targets, u_left
 
 
 def solve_mild(
     problem: ProblemSpec,
     noise: NoiseRealization,
     grid: GridSpec,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
     *,
     window_steps: int = 4,
-    adaptive: bool = True,
     kernel: KernelEvaluator | None = None,
 ) -> GridSolution:
-    """Fixed point of the discretized heat-kernel integral equation.
+    """Discretized heat-kernel integral equation, solved in one causal pass.
 
-    Per window of ``window_steps`` grid steps, the map
+    Per window of ``window_steps`` grid steps the solution satisfies
 
         u(t) = G_(t-a) u(a) + sum_s dt * G_(t-s)[f - mu*phi](s, ., u(s))
                + sum_(a < tau_j <= t) G_(t-tau_j)(., x_j) phi(tau_j-, x_j,
                  u(tau_j-, x_j)) z_j
 
-    is iterated until the successive-iterate sup difference is <= tol
-    (``tol=0.0``: until bitwise stationary, which the strictly causal
-    quadrature guarantees after finitely many sweeps).  Windows whose
-    observed contraction ratio reaches 0.9 are halved and redone when
-    ``adaptive`` is set; a window of a single step that still fails
-    raises :class:`NonContractionError`.
+    with left-endpoint drift sources and each jump read at its own left
+    limit.  The map is strictly lower triangular in event order, so one
+    forward pass in time order computes its fixed point exactly: grid
+    source, then the jumps up to the next grid time, then that target.
     """
-    if tol < 0.0:
-        raise ParameterError("tol must be >= 0")
     if window_steps < 1:
         raise ParameterError("window_steps must be >= 1")
     _check_noise_matches(problem, noise)
@@ -481,63 +393,25 @@ def solve_mild(
     values[0] = u0_nodes
 
     v_a_q = problem.init.values(y_q)
-    iter_counts: list[int] = []
-    ratio_list: list[float] = []
-    stack_cache: dict = {}
-
-    a_idx = 0
-    while a_idx < n_t:
+    windows = range(0, n_t, window_steps)
+    for a_idx in windows:
         w = min(window_steps, n_t - a_idx)
-        while True:
-            a = a_idx * dt
-            in_window = (noise.taus > a) & (noise.taus <= a + w * dt)
-            jump_slice = (
-                noise.taus[in_window],
-                noise.xs[in_window],
-                noise.zs[in_window],
-            )
-            n_events = w + int(jump_slice[0].size)
-            eff_max_iter = max_iter
-            if eff_max_iter is None:
-                eff_max_iter = n_events + 8 if tol == 0.0 else 200
-            gauss_rows = gauss[a_idx : a_idx + w] if gauss is not None else None
-            try:
-                targets, iters, ratio = _solve_window(
-                    problem,
-                    noise,
-                    ke,
-                    x_all,
-                    y_q,
-                    w_q,
-                    kmats,
-                    a_idx,
-                    w,
-                    dt,
-                    v_a_q,
-                    jump_slice,
-                    gauss_rows,
-                    tol,
-                    eff_max_iter,
-                    adaptive,
-                    stack_cache,
-                )
-                break
-            except _WindowNotContracting:
-                w = max(1, w // 2)
-
-        for i in range(1, w + 1):
-            values[a_idx + i] = targets[i - 1][: n_x + 1]
-        v_a_q = targets[w - 1][-n_q:]
-        iter_counts.append(iters)
-        ratio_list.append(ratio)
-        a_idx += w
+        a = a_idx * dt
+        in_window = (noise.taus > a) & (noise.taus <= a + w * dt)
+        jumps = (noise.taus[in_window], noise.xs[in_window], noise.zs[in_window])
+        gauss_rows = gauss[a_idx : a_idx + w] if gauss is not None else None
+        targets, _ = _solve_window(
+            problem, noise, ke, x_all, y_q, w_q, kmats, a_idx, w, dt, v_a_q,
+            jumps, gauss_rows,
+        )
+        values[a_idx + 1 : a_idx + w + 1] = targets[:, : n_x + 1]
+        v_a_q = targets[-1, -n_q:]
 
     return GridSolution(
         values=values,
         problem=problem,
         grid=grid,
-        picard_iterations=iter_counts,
-        contraction_ratios=ratio_list,
+        picard_iterations=[1] * len(windows),
         solver_tag="mild",
     )
 

@@ -98,7 +98,8 @@ class TestSolve:
         disc = json.loads((out / "solutions" / "discrepancy.json").read_text())
         assert disc["max_abs_difference"] < 1e-10
         meta = json.loads((out / "solutions" / "mild.meta.json").read_text())
-        assert "picard_iterations" in meta and "config_hash" in meta
+        assert "config_hash" in meta
+        assert meta["grid"] == {"n_t": 32, "n_x": 16}
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,6 +113,18 @@ class TestComparison:
         with pytest.raises(HypothesisError) as err:
             run_comparison(pu, pu, GridSpec(16, 8), 2, 5)
         assert "non-decreasing" in str(err.value)
+
+    def test_drift_order_checked_on_whole_domain(self):
+        # f = -sin(pi x) is <= 0 on [0, 1] but equals 1 at x = 1.5 in [0, 2]
+        dom = SpaceTimeDomain(1.0, 2.0)
+        init = ic_sine_mode(1, 1.0, 2.0)
+        pu = replace(
+            problem(params=POS, drift=sine_modulated(-1.0, 2, 0.0, 2.0), init=init),
+            dom=dom,
+        )
+        pv = replace(problem(params=POS, drift=zero(), init=init), dom=dom)
+        with pytest.raises(HypothesisError):
+            run_comparison(pu, pv, GridSpec(16, 8), 1, 5)
 
     def test_undominated_drift_gated(self):
         pu = problem(params=POS, drift=affine(0.0, 1.0))

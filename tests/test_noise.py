@@ -320,6 +320,60 @@ class TestGaussianCorrection:
         assert with_field == pytest.approx(plain + float(dW.sum()), abs=1e-12)
 
 
+class TestConstructionInvariants:
+    """The solvers rely on sorted jump times, magnitudes in (eps, K] and
+    points inside [0, T] x [0, L]; construction refuses anything else."""
+
+    @staticmethod
+    def _make(taus, xs, zs, trunc=TruncationSpec(1.0, 0.05)):
+        return NoiseRealization(
+            params=SYM,
+            truncation=trunc,
+            domain=DOM,
+            taus=np.asarray(taus, float),
+            xs=np.asarray(xs, float),
+            zs=np.asarray(zs, float),
+            compensator_mu=0.0,
+            seed=0,
+        )
+
+    def test_valid_edges_accepted(self):
+        r = self._make([0.0, 0.5, 0.5, 1.0], [0.0, 0.3, 0.6, 1.0], [1.0, -1.0, 0.06, -0.06])
+        assert r.jump_count == 4
+
+    @pytest.mark.parametrize(
+        "taus, xs, zs",
+        [
+            ([0.7, 0.2], [0.5, 3.0], [50.0, 0.5]),  # all three at once
+            ([0.7, 0.2], [0.5, 0.5], [0.5, 0.5]),  # unsorted times
+            ([0.2, 0.7], [0.5, 0.5], [0.5, 50.0]),  # |z| above K
+            ([0.2, 0.7], [0.5, 0.5], [0.5, -0.05]),  # |z| at eps, outside (eps, K]
+            ([0.2, 0.7], [0.5, 3.0], [0.5, 0.5]),  # x beyond L
+            ([-0.1, 0.7], [0.5, 0.5], [0.5, 0.5]),  # tau before 0
+            ([0.2, 1.5], [0.5, 0.5], [0.5, 0.5]),  # tau beyond T
+            ([0.2, np.nan], [0.5, 0.5], [0.5, 0.5]),  # non-finite time
+            ([0.2, 0.7], [0.5, 0.5], [0.5]),  # ragged arrays
+        ],
+        ids=[
+            "all-three", "unsorted", "z-above-K", "z-at-eps", "x-beyond-L",
+            "tau-negative", "tau-beyond-T", "tau-nan", "ragged",
+        ],
+    )
+    def test_violations_rejected(self, taus, xs, zs):
+        with pytest.raises(ParameterError):
+            self._make(taus, xs, zs)
+
+    def test_load_text_rejects_edited_file(self, tmp_path):
+        path = tmp_path / "noise.txt"
+        sample_noise(SYM, TruncationSpec(1.0, 0.05), DOM, 4).save_text(path)
+        lines = path.read_text().splitlines()
+        first = lines.index("tau,x,z") + 1
+        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParameterError):
+            NoiseRealization.load_text(path)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         r = sample_noise(POS, TruncationSpec(1.0, 0.05, True), DOM, 99)

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from stableheat.coefficients import (
     constant,
     ic_sine_mode,
     ic_zero,
+    sine_modulated,
     zero,
 )
-from stableheat.errors import BlowUpError, NonContractionError, ParameterError
+from stableheat.errors import BlowUpError, HypothesisError, ParameterError
+from stableheat.kernel import KernelEvaluator
 from stableheat.noise import (
     NoiseRealization,
     SpaceTimeDomain,
@@ -32,6 +36,10 @@ from stableheat.solvers import (
     solve_mild,
     spectral_to_grid,
     weak_form_residual,
+    _LAG_MIN_FACTOR,
+    _integrand_column,
+    _lag_matrices,
+    _solve_window,
 )
 
 SYM = StableParams(1.5, 0.5, 0.5)
@@ -65,6 +73,105 @@ def manual_noise(taus, xs, zs, trunc=TRUNC, params=SYM):
 
 
 HEAT_RATE = math.pi**2 / 2.0
+ASYM = StableParams(1.5, 1.0, 0.0)
+
+
+def march_windows(problem, noise, grid, window_steps=4):
+    """Grid values and a (window, targets, u_left) triple per window.
+
+    Repeats solve_mild's set-up and window loop around the private
+    per-window march; ``window`` holds the inputs a Picard sweep needs.
+    """
+    T, L = problem.dom.horizon_T, problem.dom.length_L
+    dt, n_q = grid.dt(T), 4 * grid.n_x
+    ke = KernelEvaluator(length_L=L)
+    x_out = grid.nodes(L)
+    y_q, w_q = ke.quad_nodes(n_q)
+    x_all = np.concatenate([x_out, y_q])
+    kmats = _lag_matrices(ke, x_all, y_q, w_q, dt, window_steps)
+    gauss = None
+    if problem.trunc.gaussian_correction:
+        gauss = noise.gaussian_increments(grid.n_t, n_q) / (dt * w_q)
+    values = np.empty((grid.n_t + 1, grid.n_x + 1))
+    values[0] = problem.init.values(x_out)
+    values[0, [0, -1]] = 0.0
+    v_a_q = problem.init.values(y_q)
+    windows = []
+    for a_idx in range(0, grid.n_t, window_steps):
+        w = min(window_steps, grid.n_t - a_idx)
+        a = a_idx * dt
+        keep = (noise.taus > a) & (noise.taus <= a + w * dt)
+        jumps = (noise.taus[keep], noise.xs[keep], noise.zs[keep])
+        gauss_rows = None if gauss is None else gauss[a_idx : a_idx + w]
+        targets, u_left = _solve_window(
+            problem, noise, ke, x_all, y_q, w_q, kmats, a_idx, w, dt, v_a_q,
+            jumps, gauss_rows,
+        )
+        values[a_idx + 1 : a_idx + w + 1] = targets[:, : grid.n_x + 1]
+        window = SimpleNamespace(
+            ke=ke, x_all=x_all, y_q=y_q, w_q=w_q, kmats=kmats, a=a, w=w, dt=dt,
+            v_a_q=v_a_q, jumps=jumps, gauss_rows=gauss_rows,
+        )
+        windows.append((window, targets, u_left))
+        v_a_q = targets[-1, -n_q:]
+    return values, windows
+
+
+def picard_sweep(problem, noise, window, targets, u_left):
+    """One successive-substitution sweep of the windowed mild map.
+
+    Every term reads the previous iterate (targets on x_all at the w
+    grid times, u_left at the jumps), never the one being built, so a
+    state is the map's fixed point exactly when the sweep returns it.
+    """
+    ke, x_all, y_q, w_q = window.ke, window.x_all, window.y_q, window.w_q
+    kmats, a, w, dt = window.kmats, window.a, window.w, window.dt
+    v_a_q, gauss_rows = window.v_a_q, window.gauss_rows
+    jt, jx, jz = window.jumps
+    n_q = y_q.size
+    s_times = [a + j * dt for j in range(w)]
+    t_targets = [a + (i + 1) * dt for i in range(w)]
+    sources = [v_a_q] + [targets[j - 1, -n_q:] for j in range(1, w)]
+    h = [
+        _integrand_column(
+            problem, noise.compensator_mu, s, y_q, u,
+            None if gauss_rows is None else gauss_rows[j],
+        )
+        for j, (s, u) in enumerate(zip(s_times, sources))
+    ]
+    kick = [
+        float(problem.noise_coef.evaluate(t, x, u)) * z
+        for t, x, u, z in zip(jt, jx, u_left, jz)
+    ]
+
+    new_targets = np.empty_like(targets)
+    for i in range(w):
+        acc = kmats[i] @ v_a_q
+        for j in range(i + 1):
+            acc = acc + dt * (kmats[i - j] @ h[j])
+        for l in range(jt.size):
+            if jt[l] <= t_targets[i]:
+                lag = max(t_targets[i] - jt[l], 1e-18)
+                acc = acc + ke.eval(lag, x_all, jx[l]) * kick[l]
+        new_targets[i] = acc
+
+    def at_jump(lag, x_pt, vec):
+        if lag < _LAG_MIN_FACTOR * w_q * w_q:  # kernel acts as the identity
+            return float(np.interp(x_pt, y_q, vec))
+        return float(ke.eval(lag, x_pt, y_q) @ vec) * w_q
+
+    new_left = np.empty_like(u_left)
+    for l in range(jt.size):
+        val = at_jump(jt[l] - a, jx[l], v_a_q)
+        for j in range(w):
+            if s_times[j] < jt[l]:
+                weight = min(s_times[j] + dt, jt[l]) - s_times[j]
+                val += weight * at_jump(jt[l] - s_times[j], jx[l], h[j])
+        for k in range(l):
+            if jt[k] < jt[l]:
+                val += float(ke.eval(jt[l] - jt[k], jx[l], jx[k])) * kick[k]
+        new_left[l] = val
+    return new_targets, new_left
 
 
 class TestMildDeterministicOracles:
@@ -76,14 +183,12 @@ class TestMildDeterministicOracles:
         times, nodes = sol.times(), sol.nodes()
         exact = np.exp(-HEAT_RATE * times[:, None]) * np.sin(np.pi * nodes[None, :])
         assert np.max(np.abs(sol.values - exact)) < 1e-12
-        assert all(n == 1 for n in sol.picard_iterations)
 
     def test_zero_fixed_point(self):
         prob = make_problem(init=ic_zero())
         noise = sample_noise(SYM, TRUNC, DOM, 7)
         sol = solve_mild(prob, noise, GridSpec(16, 8))
         assert np.all(sol.values == 0.0)
-        assert all(n == 1 for n in sol.picard_iterations)
 
     def test_constant_noise_coef_superposition(self):
         # with state-independent noise coefficient the solve is affine:
@@ -121,39 +226,40 @@ class TestMildContracts:
         assert np.all(sol.values[:, 0] == 0.0)
         assert np.all(sol.values[:, -1] == 0.0)
 
-    def test_contraction_ratios_reported_below_one(self):
-        prob = make_problem(
-            drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0)
-        )
-        noise = sample_noise(SYM, TRUNC, DOM, 5)
-        sol = solve_mild(prob, noise, GridSpec(32, 16))
-        finite = [r for r in sol.contraction_ratios if math.isfinite(r)]
-        assert finite and all(r < 1.0 for r in finite)
-        assert len(sol.picard_iterations) == len(sol.contraction_ratios)
-
     def test_exact_fixed_point_mode(self):
-        prob = make_problem(
-            drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0)
-        )
-        noise = sample_noise(SYM, TRUNC, DOM, 5)
-        sol = solve_mild(prob, noise, GridSpec(16, 8), tol=0.0)
-        again = solve_mild(prob, noise, GridSpec(16, 8), tol=0.0)
-        assert np.array_equal(sol.values, again.values)
-
-    def test_max_iter_exhaustion_raises(self):
-        prob = make_problem(drift=affine(0.0, 5.0))
-        noise = sample_noise(SYM, TRUNC, DOM, 5)
-        with pytest.raises(NonContractionError) as err:
-            solve_mild(prob, noise, GridSpec(8, 8), max_iter=1, adaptive=False)
-        assert err.value.window is not None
-
-    def test_adaptive_halving_recovers(self):
-        prob = make_problem(drift=affine(0.0, 5.0))
-        noise = sample_noise(SYM, TRUNC, DOM, 5)
-        sol = solve_mild(
-            prob, noise, GridSpec(8, 8), max_iter=3, adaptive=True, window_steps=4
-        )
-        assert np.all(np.isfinite(sol.values))
+        # one Picard sweep of the windowed mild map, applied to the march's
+        # own state, must hand that state back: the march computes the
+        # map's fixed point, without iterating
+        cases = [
+            make_problem(drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0)),
+            make_problem(  # asymmetric tails: compensator drift mu != 0
+                drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0),
+                params=ASYM,
+            ),
+            make_problem(  # Gaussian small-jump correction in the integrand
+                noise_coef=clipped_linear(0.4, 2.0),
+                trunc=TruncationSpec(1.0, 0.05, True),
+            ),
+            make_problem(  # strongly non-contracting drift
+                drift=affine(0.0, 5.0), noise_coef=clipped_linear(0.4, 2.0)
+            ),
+        ]
+        checked_jumps = 0
+        for prob in cases:
+            for seed in (5, 6, 7):
+                noise = sample_noise(prob.params, prob.trunc, DOM, seed)
+                for grid in (GridSpec(16, 8), GridSpec(32, 16)):
+                    values, windows = march_windows(prob, noise, grid)
+                    # the windows are exactly what solve_mild computes
+                    assert np.array_equal(values, solve_mild(prob, noise, grid).values)
+                    for window, targets, u_left in windows:
+                        sweep_targets, sweep_left = picard_sweep(
+                            prob, noise, window, targets, u_left
+                        )
+                        assert np.max(np.abs(sweep_targets - targets)) <= 1e-13
+                        assert np.all(np.abs(sweep_left - u_left) <= 1e-13)
+                        checked_jumps += u_left.size
+        assert checked_jumps > 0
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -161,7 +267,7 @@ class TestMildContracts:
         prob = make_problem(drift=affine(0.0, 1e21))
         noise = sample_noise(SYM, TRUNC, DOM, 5)
         with pytest.raises(BlowUpError):
-            solve_mild(prob, noise, GridSpec(16, 8), adaptive=False, max_iter=500)
+            solve_mild(prob, noise, GridSpec(16, 8))
 
     def test_noise_problem_mismatch(self):
         prob = make_problem()
@@ -178,18 +284,27 @@ class TestMildContracts:
         base = sample_noise(SYM, TruncationSpec(1.0, 0.01), DOM, 321)
         r_small, r_large = restrict(base, 0.5), restrict(base, 1.0)
         grid = GridSpec(32, 16)
-        u_s = solve_mild(
-            prob.with_truncation(r_small.truncation), r_small, grid,
-            tol=0.0, adaptive=False,
-        )
-        u_l = solve_mild(
-            prob.with_truncation(r_large.truncation), r_large, grid,
-            tol=0.0, adaptive=False,
-        )
+        u_s = solve_mild(prob.with_truncation(r_small.truncation), r_small, grid)
+        u_l = solve_mild(prob.with_truncation(r_large.truncation), r_large, grid)
         r_stop = stopping_time(base, 0.5)
         rows = int(np.ceil(r_stop / grid.dt(1.0) - 1e-12))
         assert rows >= 1
         assert np.array_equal(u_s.values[:rows], u_l.values[:rows])
+
+
+class TestProblemSpecValidate:
+    def test_monotonicity_audited_on_whole_domain(self):
+        # sin(pi x) * (1 + u) is non-decreasing in u for x in [0, 1] only;
+        # on [0, 2] it decreases in u wherever 1 < x < 2
+        prob = replace(
+            make_problem(
+                noise_coef=sine_modulated(1.0, 1, 1.0, 1.0),
+                init=ic_sine_mode(1, 1.0, 2.0),
+            ),
+            dom=SpaceTimeDomain(1.0, 2.0),
+        )
+        with pytest.raises(HypothesisError):
+            prob.validate(require_monotone=True)
 
 
 class TestGaussianCorrectionSolves:
