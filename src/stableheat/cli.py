@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -62,93 +63,74 @@ EXPERIMENT_ORDER = (
 )
 
 
-def _require_keys(section: dict, allowed: set, required: set, where: str) -> None:
-    unknown = set(section) - allowed
+def _object(section, where: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+    return section
+
+
+def _require_keys(section, allowed: set, required: set, where: str) -> None:
+    """A required key that is null counts as missing."""
+    unknown = set(_object(section, where)) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    missing = required - set(section)
+    missing = {key for key in required if section.get(key) is None}
     if missing:
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
-def _parse_coefficient(section: dict, length_L: float, where: str):
-    _require_keys(
-        section,
-        {"family", "params", "lipschitz_bound", "growth_bound", "monotone_in_u"},
-        {"family"},
-        where,
-    )
-    family = section["family"]
-    params = dict(section.get("params", {}))
+def _number(kind, section: dict, key: str, where: str, default=None):
+    """``kind(section[key])``, or ``default`` when the key is absent or null."""
+    value = section.get(key)
+    if value is None:
+        return default
     try:
-        if family == "zero":
-            spec = coef.zero()
-        elif family == "constant":
-            spec = coef.constant(params.pop("value"))
-        elif family == "affine":
-            spec = coef.affine(params.pop("a"), params.pop("b"))
-        elif family == "clipped_linear":
-            spec = coef.clipped_linear(params.pop("slope"), params.pop("cap"))
-        elif family == "sine_modulated":
-            spec = coef.sine_modulated(
-                params.pop("amplitude"),
-                params.pop("mode"),
-                params.pop("u_slope", 0.0),
-                params.pop("length", length_L),
-            )
-        elif family == "shifted":
-            base = _parse_coefficient(
-                params.pop("base"), length_L, where + ".base"
-            )
-            spec = coef.shifted(base, params.pop("delta"))
-        else:
-            raise ConfigError(f"unknown coefficient family {family!r} in {where}")
-    except KeyError as exc:
-        raise ConfigError(f"missing coefficient parameter {exc} in {where}") from exc
-    if params:
-        raise ConfigError(f"unknown coefficient parameter(s) {sorted(params)} in {where}")
-    overrides = {}
-    for key in ("lipschitz_bound", "growth_bound", "monotone_in_u"):
-        if key in section:
-            overrides[key] = section[key]
-    return replace(spec, **overrides) if overrides else spec
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.{key} must be a number, got {value!r}") from exc
 
 
-def _parse_initial(section: dict, length_L: float, where: str):
-    _require_keys(section, {"family", "params"}, {"family"}, where)
+def _numbers(section, where: str, **kinds) -> dict:
+    """The keys of ``kinds``, all required, each converted by its kind."""
+    _require_keys(section, set(kinds), set(kinds), where)
+    return {key: _number(kind, section, key, where) for key, kind in kinds.items()}
+
+
+def _parse_family(section, table: dict, length_L: float, where: str):
+    """Build a coefficient or an initial condition from its config entry.
+
+    ``table`` maps family names to entries whose ``make`` is the family's
+    constructor; ``params`` are its keyword arguments.  An omitted
+    ``length`` takes the domain length and a ``base`` is parsed as a
+    nested entry.  The entry's other keys override fields of the built
+    object, such as a coefficient's declared bounds.
+    """
+    _object(section, where)
+    _require_keys(section, set(section), {"family"}, where)
     family = section["family"]
-    params = dict(section.get("params", {}))
+    if not isinstance(family, str) or family not in table:
+        raise ConfigError(f"unknown family {family!r} in {where}")
+    params = dict(_object(section.get("params", {}), f"{where}.params"))
+    signature = inspect.signature(table[family].make).parameters
+    if "length" in signature:
+        params.setdefault("length", length_L)
+    if "base" in params:
+        params["base"] = _parse_family(params["base"], table, length_L, where + ".base")
+    missing = [k for k, v in signature.items() if v.default is v.empty and k not in params]
+    if missing:
+        raise ConfigError(f"missing {family} parameter {missing[0]!r} in {where}")
+    unknown = sorted(set(params) - set(signature))
+    if unknown:
+        raise ConfigError(f"unknown {family} parameter(s) {unknown} in {where}")
+    overrides = {k: v for k, v in section.items() if k not in ("family", "params")}
     try:
-        if family == "zero":
-            ic = coef.ic_zero()
-        elif family == "constant":
-            ic = coef.ic_constant(params.pop("value"))
-        elif family == "sine_mode":
-            ic = coef.ic_sine_mode(
-                params.pop("mode"),
-                params.pop("amplitude"),
-                params.pop("length", length_L),
-            )
-        elif family == "bump":
-            ic = coef.ic_bump(
-                params.pop("amplitude"), params.pop("center"), params.pop("width")
-            )
-        elif family == "tabulated":
-            ic = coef.ic_tabulated(params.pop("xs"), params.pop("values"))
-        else:
-            raise ConfigError(f"unknown initial-condition family {family!r} in {where}")
-    except KeyError as exc:
-        raise ConfigError(f"missing initial-condition parameter {exc} in {where}") from exc
-    if params:
-        raise ConfigError(
-            f"unknown initial-condition parameter(s) {sorted(params)} in {where}"
-        )
-    return ic
-
-
-def _parse_grid(section: dict, where: str) -> GridSpec:
-    _require_keys(section, {"n_t", "n_x"}, {"n_t", "n_x"}, where)
-    return GridSpec(int(section["n_t"]), int(section["n_x"]))
+        built = table[family].make(**params)
+        _require_keys(section, {f.name for f in fields(built)}, set(), where)
+        return replace(built, **overrides)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid value in {where}: {exc}") from exc
 
 
 @dataclass
@@ -167,19 +149,6 @@ class RunConfig:
 
     @staticmethod
     def parse(raw: dict, *, seed_override: int | None = None) -> "RunConfig":
-        top_allowed = {
-            "version",
-            "master_seed",
-            "stable",
-            "truncation",
-            "domain",
-            "grid",
-            "coefficients",
-            "initial",
-            "solver",
-            "experiments",
-            "output_dir",
-        }
         required = {
             "version",
             "master_seed",
@@ -190,46 +159,40 @@ class RunConfig:
             "coefficients",
             "initial",
         }
-        _require_keys(raw, top_allowed, required, "config")
+        optional = {"solver", "experiments", "output_dir"}
+        _require_keys(raw, required | optional, required, "config")
         if raw["version"] != CONFIG_VERSION:
             raise ConfigError(
                 f"unsupported config version {raw['version']!r}; expected "
                 f"{CONFIG_VERSION}"
             )
 
-        sec = raw["stable"]
-        _require_keys(sec, {"alpha", "c_plus", "c_minus"}, {"alpha", "c_plus", "c_minus"}, "stable")
-        params = StableParams(float(sec["alpha"]), float(sec["c_plus"]), float(sec["c_minus"]))
-
-        sec = raw["truncation"]
-        _require_keys(
-            sec,
-            {"big_cutoff_K", "small_cutoff_eps", "gaussian_correction"},
-            {"big_cutoff_K", "small_cutoff_eps"},
-            "truncation",
+        params = StableParams(
+            **_numbers(raw["stable"], "stable", alpha=float, c_plus=float, c_minus=float)
         )
+
+        sec = dict(_object(raw["truncation"], "truncation"))
+        gaussian_correction = bool(sec.pop("gaussian_correction", False))
         trunc = TruncationSpec(
-            float(sec["big_cutoff_K"]),
-            float(sec["small_cutoff_eps"]),
-            bool(sec.get("gaussian_correction", False)),
+            **_numbers(sec, "truncation", big_cutoff_K=float, small_cutoff_eps=float),
+            gaussian_correction=gaussian_correction,
         )
 
-        sec = raw["domain"]
-        _require_keys(sec, {"horizon_T", "length_L"}, {"horizon_T", "length_L"}, "domain")
-        dom = SpaceTimeDomain(float(sec["horizon_T"]), float(sec["length_L"]))
-
-        grid = _parse_grid(raw["grid"], "grid")
+        dom = SpaceTimeDomain(
+            **_numbers(raw["domain"], "domain", horizon_T=float, length_L=float)
+        )
+        grid = GridSpec(**_numbers(raw["grid"], "grid", n_t=int, n_x=int))
 
         sec = raw["coefficients"]
         _require_keys(sec, {"drift", "noise_coef"}, {"drift", "noise_coef"}, "coefficients")
-        drift = _parse_coefficient(sec["drift"], dom.length_L, "coefficients.drift")
-        noise_coef = _parse_coefficient(
-            sec["noise_coef"], dom.length_L, "coefficients.noise_coef"
+        drift, noise_coef = (
+            _parse_family(sec[k], coef.COEFFICIENT_FAMILIES, dom.length_L, f"coefficients.{k}")
+            for k in ("drift", "noise_coef")
         )
-        init = _parse_initial(raw["initial"], dom.length_L, "initial")
+        init = _parse_family(raw["initial"], coef.INITIAL_FAMILIES, dom.length_L, "initial")
         problem = ProblemSpec(params, trunc, dom, drift, noise_coef, init)
 
-        solver = dict(raw.get("solver", {}))
+        solver = raw.get("solver", {})
         # "tol" is a v1 key with no effect: solve_mild computes the exact
         # fixed point without iterating.  It is accepted so that existing
         # configs still load, and it is not echoed.
@@ -239,31 +202,28 @@ class RunConfig:
         method = solver.get("method", "mild")
         if method not in ("mild", "galerkin", "both"):
             raise ConfigError("solver.method must be one of mild, galerkin, both")
-        window_steps = int(solver.get("window_steps", 4))
-        modes = int(solver.get("modes", min(16, grid.n_x // 4)))
+        window_steps = _number(int, solver, "window_steps", "solver", 4)
+        modes = _number(int, solver, "modes", "solver", min(16, grid.n_x // 4))
 
-        experiments = dict(raw.get("experiments", {}))
-        unknown = set(experiments) - set(EXPERIMENT_ORDER)
-        if unknown:
-            raise ConfigError(f"unknown experiment(s) {sorted(unknown)}")
+        experiments = raw.get("experiments", {})
+        _require_keys(experiments, set(EXPERIMENT_ORDER), set(), "experiments")
 
-        master_seed = int(raw["master_seed"]) if seed_override is None else int(seed_override)
+        master_seed = _number(int, raw, "master_seed", "config")
+        if seed_override is not None:
+            master_seed = int(seed_override)
+        canonical = problem.canonical()
         effective = {
             "version": CONFIG_VERSION,
             "master_seed": master_seed,
-            "stable": {"alpha": params.alpha, "c_plus": params.c_plus, "c_minus": params.c_minus},
-            "truncation": {
-                "big_cutoff_K": trunc.big_cutoff_K,
-                "small_cutoff_eps": trunc.small_cutoff_eps,
-                "gaussian_correction": trunc.gaussian_correction,
-            },
-            "domain": {"horizon_T": dom.horizon_T, "length_L": dom.length_L},
+            "stable": canonical["params"],
+            "truncation": canonical["truncation"],
+            "domain": canonical["domain"],
             "grid": {"n_t": grid.n_t, "n_x": grid.n_x},
             "coefficients": {
-                "drift": drift.canonical(),
-                "noise_coef": noise_coef.canonical(),
+                "drift": canonical["drift"],
+                "noise_coef": canonical["noise_coef"],
             },
-            "initial": init.canonical(),
+            "initial": canonical["init"],
             "solver": {
                 "method": method,
                 "window_steps": window_steps,
@@ -389,11 +349,11 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _run_one_experiment(name: str, section: dict, cfg: RunConfig, threads: int):
-    section = dict(section)
+def _run_one_experiment(name: str, section, cfg: RunConfig, threads: int):
+    section = dict(_object(section, name))
     grid_section = section.pop("grid", None)
     grid = (
-        _parse_grid(grid_section, f"{name}.grid")
+        GridSpec(**_numbers(grid_section, f"{name}.grid", n_t=int, n_x=int))
         if grid_section is not None
         else cfg.grid
     )
@@ -403,11 +363,11 @@ def _run_one_experiment(name: str, section: dict, cfg: RunConfig, threads: int):
         _require_keys(section, {"K", "n_paths", "observe_factor"}, {"K", "n_paths"}, name)
         return exp.run_stopping_law(
             problem.params,
-            float(section["K"]),
+            _number(float, section, "K", name),
             problem.dom,
-            int(section["n_paths"]),
+            _number(int, section, "n_paths", name),
             cfg.master_seed,
-            observe_factor=float(section.get("observe_factor", 1000.0)),
+            observe_factor=_number(float, section, "observe_factor", name, 1000.0),
             threads=threads,
         )
     if name == "consistency":
@@ -415,10 +375,10 @@ def _run_one_experiment(name: str, section: dict, cfg: RunConfig, threads: int):
         return exp.run_consistency(
             problem,
             cfg.master_seed,
-            float(section["K_small"]),
-            float(section["K_large"]),
+            _number(float, section, "K_small", name),
+            _number(float, section, "K_large", name),
             grid,
-            n_paths=int(section.get("n_paths", 1)),
+            n_paths=_number(int, section, "n_paths", name, 1),
             window_steps=ws,
         )
     if name == "galerkin_convergence":
@@ -432,8 +392,8 @@ def _run_one_experiment(name: str, section: dict, cfg: RunConfig, threads: int):
         return exp.run_moment_estimate(
             problem,
             grid,
-            int(section["n_paths"]),
-            float(section.get("p", 2.0)),
+            _number(int, section, "n_paths", name),
+            _number(float, section, "p", name, 2.0),
             cfg.master_seed,
             threads=threads,
             window_steps=ws,
@@ -442,37 +402,41 @@ def _run_one_experiment(name: str, section: dict, cfg: RunConfig, threads: int):
         _require_keys(section, {"n_paths", "problem_u", "tol"}, {"n_paths", "problem_u"}, name)
         pu_sec = section["problem_u"]
         _require_keys(pu_sec, {"drift", "initial"}, {"drift"}, "comparison.problem_u")
-        drift_u = _parse_coefficient(
-            pu_sec["drift"], problem.dom.length_L, "comparison.problem_u.drift"
+        drift_u = _parse_family(
+            pu_sec["drift"],
+            coef.COEFFICIENT_FAMILIES,
+            problem.dom.length_L,
+            "comparison.problem_u.drift",
         )
         init_u = (
-            _parse_initial(
-                pu_sec["initial"], problem.dom.length_L, "comparison.problem_u.initial"
+            _parse_family(
+                pu_sec["initial"],
+                coef.INITIAL_FAMILIES,
+                problem.dom.length_L,
+                "comparison.problem_u.initial",
             )
             if "initial" in pu_sec
             else problem.init
         )
         problem_u = replace(problem, drift=drift_u, init=init_u)
-        tol = section.get("tol")
         return exp.run_comparison(
             problem_u,
             problem,
             grid,
-            int(section["n_paths"]),
+            _number(int, section, "n_paths", name),
             cfg.master_seed,
-            tol=None if tol is None else float(tol),
+            tol=_number(float, section, "tol", name),
             threads=threads,
             window_steps=ws,
         )
     if name == "nonnegativity":
         _require_keys(section, {"n_paths", "tol"}, {"n_paths"}, name)
-        tol = section.get("tol")
         return exp.run_nonnegativity(
             problem,
             grid,
-            int(section["n_paths"]),
+            _number(int, section, "n_paths", name),
             cfg.master_seed,
-            tol=None if tol is None else float(tol),
+            tol=_number(float, section, "tol", name),
             threads=threads,
             window_steps=ws,
         )
@@ -515,11 +479,7 @@ def main(argv=None) -> int:
         "jump-noise heat equation laboratory.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("sample-noise", None),
-        ("solve", None),
-        ("verify", None),
-    ):
+    for name in ("sample-noise", "solve", "verify"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--seed", type=int, default=None, help="master seed override")

@@ -14,6 +14,12 @@ sine_modulated      amplitude * sin(mode*pi*x/length) * (1 + u_slope*u)
 shifted             base(t, x, u) + delta
 ==================  ====================================================
 
+A family is one entry of ``COEFFICIENT_FAMILIES`` (or, for initial
+conditions, ``INITIAL_FAMILIES``), keyed by its name: its constructor,
+its evaluator and, for coefficients, its zero-state rule and extra
+extreme u-points.  Evaluation, the structural checks, the audits and the
+config parser read only that table, so adding a family takes one entry.
+
 Each constructor fills in tight declared bounds; audits re-check the
 declarations by randomized finite differences plus the family's
 analytic extreme points, and any failure carries a concrete witness.
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -48,16 +54,6 @@ __all__ = [
     "ic_tabulated",
 ]
 
-_COEF_FAMILIES = (
-    "zero",
-    "constant",
-    "affine",
-    "clipped_linear",
-    "sine_modulated",
-    "shifted",
-)
-
-
 @dataclass(frozen=True)
 class CoefficientSpec:
     """One registered coefficient with machine-checkable metadata."""
@@ -69,58 +65,34 @@ class CoefficientSpec:
     monotone_in_u: bool
 
     def __post_init__(self):
-        if self.family not in _COEF_FAMILIES:
+        if self.family not in COEFFICIENT_FAMILIES:
             raise ParameterError(f"unknown coefficient family {self.family!r}")
         if self.lipschitz_bound < 0.0 or self.growth_bound < 0.0:
             raise ParameterError("declared bounds must be non-negative")
 
     def evaluate(self, t, x, u):
         """Pure pointwise evaluation; arguments broadcast together."""
-        p = self.params
         tb = np.asarray(t, float)
         xb = np.asarray(x, float)
         ub = np.asarray(u, float)
         shape = np.broadcast_shapes(tb.shape, xb.shape, ub.shape)
-        if self.family == "zero":
-            out = np.zeros(shape)
-        elif self.family == "constant":
-            out = np.full(shape, p["value"])
-        elif self.family == "affine":
-            out = p["a"] + p["b"] * ub
-        elif self.family == "clipped_linear":
-            out = np.clip(p["slope"] * ub, -p["cap"], p["cap"])
-        elif self.family == "sine_modulated":
-            wave = np.sin(p["mode"] * math.pi * xb / p["length"])
-            out = p["amplitude"] * wave * (1.0 + p["u_slope"] * ub)
-        else:  # shifted
-            out = np.asarray(p["base"].evaluate(tb, xb, ub)) + p["delta"]
+        out = COEFFICIENT_FAMILIES[self.family].evaluate(self.params, tb, xb, ub)
         if out.shape != shape:
             out = np.broadcast_to(out, shape).copy()
         return out if out.ndim else float(out)
 
     def vanishes_at_zero_state(self) -> bool:
         """True when the family gives f(t, x, 0) = 0 identically (analytic)."""
-        p = self.params
-        if self.family == "zero":
-            return True
-        if self.family == "constant":
-            return p["value"] == 0.0
-        if self.family == "affine":
-            return p["a"] == 0.0
-        if self.family == "clipped_linear":
-            return True
-        if self.family == "sine_modulated":
-            return p["amplitude"] == 0.0
-        return p["base"].vanishes_at_zero_state() and p["delta"] == 0.0
+        return COEFFICIENT_FAMILIES[self.family].vanishes_at_zero(self.params)
 
     def canonical(self) -> dict:
         """JSON-friendly canonical form (used in config echo and hashing)."""
-        p = dict(self.params)
-        if self.family == "shifted":
-            p["base"] = p["base"].canonical()
         return {
             "family": self.family,
-            "params": p,
+            "params": {
+                k: v.canonical() if isinstance(v, CoefficientSpec) else v
+                for k, v in self.params.items()
+            },
             "lipschitz_bound": self.lipschitz_bound,
             "growth_bound": self.growth_bound,
             "monotone_in_u": self.monotone_in_u,
@@ -157,17 +129,22 @@ def clipped_linear(slope: float, cap: float) -> CoefficientSpec:
     )
 
 
+def _sine_mode(mode, length) -> int:
+    if not float(mode).is_integer() or mode < 1 or length <= 0.0:
+        raise ParameterError(f"mode must be an integer >= 1 and length positive, got {mode!r}")
+    return int(mode)
+
+
 def sine_modulated(
-    amplitude: float, mode: int, u_slope: float, length: float = 1.0
+    amplitude: float, mode: int, u_slope: float = 0.0, length: float = 1.0
 ) -> CoefficientSpec:
-    if mode < 1 or length <= 0.0:
-        raise ParameterError("mode must be >= 1 and length positive")
+    mode = _sine_mode(mode, length)
     monotone = mode == 1 and amplitude * u_slope >= 0.0
     return CoefficientSpec(
         "sine_modulated",
         {
             "amplitude": float(amplitude),
-            "mode": int(mode),
+            "mode": mode,
             "u_slope": float(u_slope),
             "length": float(length),
         },
@@ -187,6 +164,62 @@ def shifted(base: CoefficientSpec, delta: float) -> CoefficientSpec:
     )
 
 
+class Family(NamedTuple):
+    """One registered family of coefficients or of initial conditions.
+
+    ``make`` is the public constructor, whose parameters are the config
+    ``params``.  ``evaluate`` is the formula on the ``params`` mapping p:
+    ``evaluate(p, t, x, u)`` for a coefficient, broadcast by
+    :meth:`CoefficientSpec.evaluate`, and ``evaluate(p, x)`` for an
+    initial condition.  Coefficients also carry the analytic zero-state
+    rule ``vanishes_at_zero(p)`` and ``u_edges(p)``, the u-values where
+    the formula has a kink, which the audits sample.
+    """
+
+    make: Callable[..., Any]
+    evaluate: Callable[..., Any]
+    vanishes_at_zero: Callable[[Mapping], bool] | None = None
+    u_edges: Callable[[Mapping], list] = lambda p: []
+
+
+def _clip_edges(p) -> list:
+    if p["slope"] == 0.0:
+        return []
+    edge = p["cap"] / abs(p["slope"])
+    return [edge, -edge]
+
+
+COEFFICIENT_FAMILIES = {
+    "zero": Family(zero, lambda p, t, x, u: np.float64(0.0), lambda p: True),
+    "constant": Family(
+        constant,
+        lambda p, t, x, u: np.float64(p["value"]),
+        lambda p: p["value"] == 0.0,
+    ),
+    "affine": Family(
+        affine, lambda p, t, x, u: p["a"] + p["b"] * u, lambda p: p["a"] == 0.0
+    ),
+    "clipped_linear": Family(
+        clipped_linear,
+        lambda p, t, x, u: np.clip(p["slope"] * u, -p["cap"], p["cap"]),
+        lambda p: True,
+        _clip_edges,
+    ),
+    "sine_modulated": Family(
+        sine_modulated,
+        lambda p, t, x, u: p["amplitude"]
+        * np.sin(p["mode"] * math.pi * x / p["length"])
+        * (1.0 + p["u_slope"] * u),
+        lambda p: p["amplitude"] == 0.0,
+    ),
+    "shifted": Family(
+        shifted,
+        lambda p, t, x, u: np.asarray(p["base"].evaluate(t, x, u)) + p["delta"],
+        lambda p: p["base"].vanishes_at_zero_state() and p["delta"] == 0.0,
+    ),
+}
+
+
 # -- audits -------------------------------------------------------------
 
 
@@ -201,20 +234,21 @@ class AuditReport:
     message: str = ""
 
 
-def _sample_points(rng, n, t_range, x_range, u_range):
-    t = rng.uniform(*t_range, size=n)
-    x = rng.uniform(*x_range, size=n)
-    u = rng.uniform(*u_range, size=n)
-    v = rng.uniform(*u_range, size=n)
+def _sample_points(seed, n, t_range, x_range, u_range, extremes):
+    """n random (t, x, u, v) points, then u = ``extremes`` (v reversed)
+    at the earliest time, spread over the x range."""
+    rng = np.random.default_rng(seed)
+    k = extremes.size
+    t = np.concatenate([rng.uniform(*t_range, size=n), np.full(k, t_range[0])])
+    x = np.concatenate([rng.uniform(*x_range, size=n), np.linspace(*x_range, k)])
+    u = np.concatenate([rng.uniform(*u_range, size=n), extremes])
+    v = np.concatenate([rng.uniform(*u_range, size=n), np.flip(extremes)])
     return t, x, u, v
 
 
 def _u_extremes(spec: CoefficientSpec, u_range) -> np.ndarray:
-    pts = [u_range[0], u_range[1], 0.0]
-    if spec.family == "clipped_linear" and spec.params["slope"] != 0.0:
-        edge = spec.params["cap"] / abs(spec.params["slope"])
-        pts += [edge, -edge]
-    return np.asarray(pts)
+    edges = COEFFICIENT_FAMILIES[spec.family].u_edges(spec.params)
+    return np.asarray([u_range[0], u_range[1], 0.0, *edges])
 
 
 def validate_hypothesis(
@@ -234,16 +268,10 @@ def validate_hypothesis(
     family's analytic extreme u-values, so a pass is backed by at least
     ``n_samples`` points.
     """
-    rng = np.random.default_rng(seed)
     slack = 1e-9 * (1.0 + spec.lipschitz_bound + spec.growth_bound)
-    t, x, u, v = _sample_points(rng, n_samples, t_range, x_range, u_range)
-    extremes = _u_extremes(spec, u_range)
-    te = np.full(extremes.size, t_range[0])
-    xe = np.linspace(*x_range, extremes.size)
-    t_all = np.concatenate([t, te])
-    x_all = np.concatenate([x, xe])
-    u_all = np.concatenate([u, extremes])
-    v_all = np.concatenate([v, np.flip(extremes)])
+    t_all, x_all, u_all, v_all = _sample_points(
+        seed, n_samples, t_range, x_range, u_range, _u_extremes(spec, u_range)
+    )
 
     fu = np.asarray(spec.evaluate(t_all, x_all, u_all))
     fv = np.asarray(spec.evaluate(t_all, x_all, v_all))
@@ -310,11 +338,8 @@ def dominates(
     u_range=(-50.0, 50.0),
 ) -> AuditReport:
     """Randomized check that f <= g on the sampled set (ordering gate)."""
-    rng = np.random.default_rng(seed)
-    t, x, u, _ = _sample_points(rng, samples, t_range, x_range, u_range)
-    u = np.concatenate([u, _u_extremes(spec_f, u_range), _u_extremes(spec_g, u_range)])
-    t = np.concatenate([t, np.full(u.size - t.size, t_range[0])])
-    x = np.concatenate([x, np.linspace(*x_range, u.size - x.size)])
+    extremes = np.concatenate([_u_extremes(spec_f, u_range), _u_extremes(spec_g, u_range)])
+    t, x, u, _ = _sample_points(seed, samples, t_range, x_range, u_range, extremes)
     fv = np.asarray(spec_f.evaluate(t, x, u))
     gv = np.asarray(spec_g.evaluate(t, x, u))
     slack = 1e-12 * (1.0 + np.abs(gv))
@@ -332,9 +357,6 @@ def dominates(
 
 # -- initial conditions ---------------------------------------------------
 
-_IC_FAMILIES = ("zero", "constant", "sine_mode", "bump", "tabulated")
-
-
 @dataclass(frozen=True)
 class InitialCondition:
     """Initial profile on [0, L], declarative like the coefficients."""
@@ -343,28 +365,12 @@ class InitialCondition:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in _IC_FAMILIES:
+        if self.family not in INITIAL_FAMILIES:
             raise ParameterError(f"unknown initial-condition family {self.family!r}")
 
     def values(self, x) -> np.ndarray:
         xa = np.asarray(x, dtype=float)
-        p = self.params
-        if self.family == "zero":
-            return np.zeros_like(xa)
-        if self.family == "constant":
-            return np.full_like(xa, p["value"])
-        if self.family == "sine_mode":
-            return p["amplitude"] * np.sin(p["mode"] * math.pi * xa / p["length"])
-        if self.family == "bump":
-            half = 0.5 * p["width"]
-            s = (xa - p["center"]) / half
-            out = np.zeros_like(xa)
-            inside = np.abs(s) < 1.0
-            out[inside] = p["amplitude"] * np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
-            return out
-        xs = np.asarray(p["xs"], dtype=float)
-        vals = np.asarray(p["values"], dtype=float)
-        return np.interp(xa, xs, vals)
+        return INITIAL_FAMILIES[self.family].evaluate(self.params, xa)
 
     def validate_dirichlet(self, length_L: float, n_check: int = 512) -> None:
         """Finiteness plus exact vanishing at both endpoints."""
@@ -401,11 +407,10 @@ def ic_constant(value: float) -> InitialCondition:
 
 
 def ic_sine_mode(mode: int, amplitude: float, length: float) -> InitialCondition:
-    if mode < 1 or length <= 0.0:
-        raise ParameterError("mode must be >= 1 and length positive")
+    mode = _sine_mode(mode, length)
     return InitialCondition(
         "sine_mode",
-        {"mode": int(mode), "amplitude": float(amplitude), "length": float(length)},
+        {"mode": mode, "amplitude": float(amplitude), "length": float(length)},
     )
 
 
@@ -426,3 +431,24 @@ def ic_tabulated(xs, values) -> InitialCondition:
     return InitialCondition(
         "tabulated", {"xs": tuple(xs.tolist()), "values": tuple(values.tolist())}
     )
+
+
+def _bump_values(p, x) -> np.ndarray:
+    half = 0.5 * p["width"]
+    s = (x - p["center"]) / half
+    out = np.zeros_like(x)
+    inside = np.abs(s) < 1.0
+    out[inside] = p["amplitude"] * np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
+    return out
+
+
+INITIAL_FAMILIES = {
+    "zero": Family(ic_zero, lambda p, x: np.zeros_like(x)),
+    "constant": Family(ic_constant, lambda p, x: np.full_like(x, p["value"])),
+    "sine_mode": Family(
+        ic_sine_mode,
+        lambda p, x: p["amplitude"] * np.sin(p["mode"] * math.pi * x / p["length"]),
+    ),
+    "bump": Family(ic_bump, _bump_values),
+    "tabulated": Family(ic_tabulated, lambda p, x: np.interp(x, p["xs"], p["values"])),
+}

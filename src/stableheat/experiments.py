@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -74,11 +75,6 @@ def path_seed(master_seed: int, path_index: int) -> int:
     """Derived per-path seed; order-independent and collision-resistant."""
     ss = np.random.SeedSequence([int(master_seed), int(path_index)])
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _hash_inputs(obj) -> str:
-    blob = json.dumps(obj, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _json_safe(obj):
@@ -149,8 +145,6 @@ class ExperimentReport:
 
     def write(self, directory) -> None:
         """Emit report JSON, per-path CSV, and a timing sidecar."""
-        import os
-
         os.makedirs(directory, exist_ok=True)
         base = os.path.join(directory, self.name)
         with open(base + ".json", "w", encoding="utf-8") as fh:
@@ -170,6 +164,20 @@ class ExperimentReport:
         with open(base + "_timing.json", "w", encoding="utf-8") as fh:
             json.dump({"runtime_seconds": self.runtime_seconds}, fh)
             fh.write("\n")
+
+
+def _report(name: str, t_start: float, seed: int, inputs: dict, **fields):
+    """Report of experiment ``name`` begun at ``t_start``; its inputs hash
+    covers ``inputs`` plus the experiment name and the master seed."""
+    hashed = {"experiment": name, "seed": seed, **inputs}
+    blob = json.dumps(hashed, sort_keys=True, default=str).encode()
+    return ExperimentReport(
+        name=name,
+        master_seed=seed,
+        inputs_hash=hashlib.sha256(blob).hexdigest()[:16],
+        runtime_seconds=time.perf_counter() - t_start,
+        **fields,
+    )
 
 
 @dataclass(frozen=True)
@@ -261,8 +269,6 @@ def run_stopping_law(
     Passes when the exact survival probability lies inside the 3-sigma
     binomial interval around the estimate.
     """
-    if n_paths < 1:
-        raise ParameterError("n_paths must be >= 1")
     if K <= 0.0:
         raise ParameterError("K must be positive")
     t_start = time.perf_counter()
@@ -278,28 +284,24 @@ def run_stopping_law(
     sigma = math.sqrt(max(est * (1.0 - est), target * (1.0 - target)) / n_paths)
     ci = (est - 3.0 * sigma, est + 3.0 * sigma)
     passed = ci[0] <= target <= ci[1]
-    return ExperimentReport(
-        name="stopping_law",
+    return _report(
+        "stopping_law",
+        t_start,
+        seed,
+        {
+            "alpha": params.alpha,
+            "c_plus": params.c_plus,
+            "K": K,
+            "T": dom.horizon_T,
+            "L": dom.length_L,
+            "n_paths": n_paths,
+            "observe_factor": observe_factor,
+        },
         n_paths=n_paths,
         estimates={"survival_frequency": est, "sigma": sigma},
         confidence_interval=ci,
         target=target,
         passed=passed,
-        master_seed=seed,
-        inputs_hash=_hash_inputs(
-            {
-                "experiment": "stopping_law",
-                "alpha": params.alpha,
-                "c_plus": params.c_plus,
-                "K": K,
-                "T": dom.horizon_T,
-                "L": dom.length_L,
-                "n_paths": n_paths,
-                "observe_factor": observe_factor,
-                "seed": seed,
-            }
-        ),
-        runtime_seconds=time.perf_counter() - t_start,
         per_path={"survived": [float(s) for s in survived]},
         details={"observe_factor": observe_factor},
     )
@@ -388,8 +390,16 @@ def run_comparison(
     max_viol = float(np.max(violations))
     max_energy = float(np.max(energies))
     passed = max_viol <= tol and max_energy <= energy_cap
-    return ExperimentReport(
-        name="comparison",
+    return _report(
+        "comparison",
+        t_start,
+        seed,
+        {
+            "problem_u": problem_u.canonical(),
+            "problem_v": problem_v.canonical(),
+            "grid": (grid.n_t, grid.n_x),
+            "n_paths": n_paths,
+        },
         n_paths=n_paths,
         estimates={
             "max_violation": max_viol,
@@ -400,18 +410,6 @@ def run_comparison(
         confidence_interval=None,
         target=f"per-path max (u-v)+ <= {tol:.6g}",
         passed=passed,
-        master_seed=seed,
-        inputs_hash=_hash_inputs(
-            {
-                "experiment": "comparison",
-                "problem_u": problem_u.canonical(),
-                "problem_v": problem_v.canonical(),
-                "grid": (grid.n_t, grid.n_x),
-                "n_paths": n_paths,
-                "seed": seed,
-            }
-        ),
-        runtime_seconds=time.perf_counter() - t_start,
         per_path={"violation": violations, "positive_part_energy": energies},
         details={"tolerance": tol, "energy_cap": energy_cap},
     )
@@ -466,24 +464,16 @@ def run_nonnegativity(
     if zero_case:
         details["zero_case_exact"] = all(r[1] for r in results)
         passed = passed and details["zero_case_exact"]
-    return ExperimentReport(
-        name="nonnegativity",
+    return _report(
+        "nonnegativity",
+        t_start,
+        seed,
+        {"problem": problem.canonical(), "grid": (grid.n_t, grid.n_x), "n_paths": n_paths},
         n_paths=n_paths,
         estimates={"min_over_paths": min_all, "tolerance": tol},
         confidence_interval=None,
         target=f"per-path min >= {-tol:.6g}",
         passed=passed,
-        master_seed=seed,
-        inputs_hash=_hash_inputs(
-            {
-                "experiment": "nonnegativity",
-                "problem": problem.canonical(),
-                "grid": (grid.n_t, grid.n_x),
-                "n_paths": n_paths,
-                "seed": seed,
-            }
-        ),
-        runtime_seconds=time.perf_counter() - t_start,
         per_path={"min_value": minima},
         details=details,
     )
@@ -562,8 +552,17 @@ def run_consistency(
     vacuous_count = sum(1 for r in results if r[1])
     max_rel = float(np.max(rels))
     passed = max_rel <= CONSISTENCY_REL_TOL
-    return ExperimentReport(
-        name="consistency",
+    return _report(
+        "consistency",
+        t_start,
+        noise_seed,
+        {
+            "problem": problem.canonical(),
+            "K_small": K_small,
+            "K_large": K_large,
+            "grid": (grid.n_t, grid.n_x),
+            "n_paths": n_paths,
+        },
         n_paths=len(seeds),
         estimates={
             "max_relative_sup_difference": max_rel,
@@ -572,19 +571,6 @@ def run_consistency(
         confidence_interval=None,
         target=f"relative sup-difference <= {CONSISTENCY_REL_TOL}",
         passed=passed,
-        master_seed=noise_seed,
-        inputs_hash=_hash_inputs(
-            {
-                "experiment": "consistency",
-                "problem": problem.canonical(),
-                "K_small": K_small,
-                "K_large": K_large,
-                "grid": (grid.n_t, grid.n_x),
-                "n_paths": n_paths,
-                "seed": noise_seed,
-            }
-        ),
-        runtime_seconds=time.perf_counter() - t_start,
         per_path={
             "relative_sup_difference": rels,
             "stopping_time": [r[2] for r in results],
@@ -640,24 +626,16 @@ def run_galerkin_convergence(
     )
     halved = errors[-1] < 0.5 * errors[0]
     passed = non_increasing and halved
-    return ExperimentReport(
-        name="galerkin_convergence",
+    return _report(
+        "galerkin_convergence",
+        t_start,
+        noise_seed,
+        {"problem": problem.canonical(), "m_list": m_list, "grid": (grid.n_t, grid.n_x)},
         n_paths=1,
         estimates={f"E_m{m}": float(e) for m, e in zip(m_list, errors)},
         confidence_interval=None,
         target="E non-increasing (5% slack) and E(max) < E(min)/2",
         passed=passed,
-        master_seed=noise_seed,
-        inputs_hash=_hash_inputs(
-            {
-                "experiment": "galerkin_convergence",
-                "problem": problem.canonical(),
-                "m_list": m_list,
-                "grid": (grid.n_t, grid.n_x),
-                "seed": noise_seed,
-            }
-        ),
-        runtime_seconds=time.perf_counter() - t_start,
         per_path={"errors": [float(e) for e in errors]},
         details={"m_list": m_list, "jump_count": rn.jump_count},
     )
@@ -704,8 +682,16 @@ def run_moment_estimate(
     se = float(norms[:, idx_peak].std(ddof=1) / math.sqrt(2 * n_paths))
     ratio = est_full / est_half if est_half > 0.0 else 1.0
     passed = math.isfinite(est_full) and 0.8 <= ratio <= 1.25
-    return ExperimentReport(
-        name="moment_estimate",
+    return _report(
+        "moment_estimate",
+        t_start,
+        seed,
+        {
+            "problem": problem.canonical(),
+            "grid": (grid.n_t, grid.n_x),
+            "n_paths": n_paths,
+            "p": p,
+        },
         n_paths=2 * n_paths,
         estimates={
             "sup_moment": est_full,
@@ -716,18 +702,6 @@ def run_moment_estimate(
         confidence_interval=(est_full - 3.0 * se, est_full + 3.0 * se),
         target="finite with doubling ratio in [0.8, 1.25]",
         passed=passed,
-        master_seed=seed,
-        inputs_hash=_hash_inputs(
-            {
-                "experiment": "moment_estimate",
-                "problem": problem.canonical(),
-                "grid": (grid.n_t, grid.n_x),
-                "n_paths": n_paths,
-                "p": p,
-                "seed": seed,
-            }
-        ),
-        runtime_seconds=time.perf_counter() - t_start,
         per_path={"sup_norm_p": [float(v) for v in norms.max(axis=1)]},
         details={"p": p},
     )

@@ -25,7 +25,7 @@ share immutable inputs, so concurrent solves need no locking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -110,20 +110,9 @@ class ProblemSpec:
 
     def canonical(self) -> dict:
         return {
-            "params": {
-                "alpha": self.params.alpha,
-                "c_plus": self.params.c_plus,
-                "c_minus": self.params.c_minus,
-            },
-            "truncation": {
-                "big_cutoff_K": self.trunc.big_cutoff_K,
-                "small_cutoff_eps": self.trunc.small_cutoff_eps,
-                "gaussian_correction": self.trunc.gaussian_correction,
-            },
-            "domain": {
-                "horizon_T": self.dom.horizon_T,
-                "length_L": self.dom.length_L,
-            },
+            "params": asdict(self.params),
+            "truncation": asdict(self.trunc),
+            "domain": asdict(self.dom),
             "drift": self.drift.canonical(),
             "noise_coef": self.noise_coef.canonical(),
             "init": self.init.canonical(),

@@ -119,6 +119,70 @@ class TestSolve:
             == EXIT_NUMERICAL
         )
 
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            (
+                {
+                    "coefficients": {
+                        "drift": {"family": "constant", "params": {"value": "abc"}},
+                        "noise_coef": {"family": "zero"},
+                    }
+                },
+                "coefficients.drift",
+            ),
+            (
+                {
+                    "coefficients": {
+                        "drift": {"family": "affine", "params": None},
+                        "noise_coef": {"family": "zero"},
+                    }
+                },
+                "coefficients.drift",
+            ),
+            ({"grid": {"n_t": "x", "n_x": 8}}, "grid"),
+            ({"stable": {"alpha": "x", "c_plus": 0.5, "c_minus": 0.5}}, "stable"),
+            ({"stable": 3}, "stable"),
+            (
+                {
+                    "coefficients": {
+                        "drift": {"family": "zero", "lipschitz_bound": "big"},
+                        "noise_coef": {"family": "zero"},
+                    }
+                },
+                "coefficients.drift",
+            ),
+            (
+                {
+                    "coefficients": {
+                        "drift": {"family": "zero"},
+                        "noise_coef": {
+                            "family": "shifted",
+                            "params": {"base": 3, "delta": 0.5},
+                        },
+                    }
+                },
+                "coefficients.noise_coef.base",
+            ),
+        ],
+        ids=[
+            "non-numeric-param",
+            "null-params",
+            "non-integer-grid",
+            "non-numeric-alpha",
+            "section-not-object",
+            "non-numeric-override",
+            "base-not-object",
+        ],
+    )
+    def test_malformed_value_exits_validation(self, tmp_path, capsys, overrides, where):
+        cfg = write_config(tmp_path, overrides)
+        assert (
+            main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            == EXIT_VALIDATION
+        )
+        assert where in capsys.readouterr().err
+
     def test_missing_family_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -217,6 +281,27 @@ class TestVerify:
             main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
             == EXIT_VALIDATION
         )
+
+    def test_omitted_length_takes_domain_length(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "domain": {"horizon_T": 1.0, "length_L": 2.0},
+                "coefficients": {
+                    "drift": {
+                        "family": "sine_modulated",
+                        "params": {"amplitude": 0.5, "mode": 1},
+                    },
+                    "noise_coef": {"family": "zero"},
+                },
+            },
+        )
+        out = tmp_path / "o"
+        assert main(["sample-noise", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        effective = json.loads((out / "effective_config.json").read_text())
+        assert effective["coefficients"]["drift"]["params"]["length"] == 2.0
+        assert effective["coefficients"]["drift"]["params"]["u_slope"] == 0.0
+        assert effective["initial"]["params"]["length"] == 2.0
 
     def test_effective_config_echoed_with_defaults(self, tmp_path):
         cfg = write_config(

@@ -133,6 +133,14 @@ class TestInitialConditions:
         with pytest.raises(ParameterError):
             ic_constant(1.0).validate_dirichlet(1.0)
 
+    def test_non_integer_mode_rejected(self):
+        with pytest.raises(ParameterError):
+            ic_sine_mode(1.7, 1.0, 1.0)
+        with pytest.raises(ParameterError):
+            sine_modulated(1.0, 1.7, 0.0, 1.0)
+        assert ic_sine_mode(1.0, 1.0, 1.0) == ic_sine_mode(1, 1.0, 1.0)
+        assert sine_modulated(1.0, 1.0, 0.0) == sine_modulated(1.0, 1, 0.0)
+
     def test_nonnegativity_detection(self):
         assert ic_bump(1.0, 0.5, 0.5).is_nonnegative(1.0)
         assert not ic_sine_mode(2, 1.0, 1.0).is_nonnegative(1.0)
