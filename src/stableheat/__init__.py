@@ -41,7 +41,6 @@ from .errors import (
 )
 from .experiments import (
     ExperimentReport,
-    PositivePartEnergy,
     calibrate_grid_error,
     path_seed,
     positive_part_energy,
@@ -54,7 +53,6 @@ from .experiments import (
 )
 from .kernel import KernelEvaluator
 from .noise import (
-    JumpRecord,
     NoiseRealization,
     SpaceTimeDomain,
     StableParams,
@@ -71,12 +69,10 @@ from .noise import (
 from .solvers import (
     GridSolution,
     GridSpec,
-    ModeProjectedNoise,
     ProblemSpec,
     SpectralSolution,
     grid_h_norm,
     grid_lp_norm_p,
-    project_noise,
     solve_galerkin,
     solve_mild,
     spectral_to_grid,

@@ -79,15 +79,22 @@ def _require_keys(section, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
+def _scalar(kind, value, where: str):
+    """``kind(value)`` for a JSON number; ``int`` also refuses fractions."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (kind is int and isinstance(value, float) and not value.is_integer())
+    ):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} must be {noun}, got {value!r}")
+    return kind(value)
+
+
 def _number(kind, section: dict, key: str, where: str, default=None):
     """``kind(section[key])``, or ``default`` when the key is absent or null."""
     value = section.get(key)
-    if value is None:
-        return default
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}") from exc
+    return default if value is None else _scalar(kind, value, f"{where}.{key}")
 
 
 def _numbers(section, where: str, **kinds) -> dict:
@@ -172,10 +179,14 @@ class RunConfig:
         )
 
         sec = dict(_object(raw["truncation"], "truncation"))
-        gaussian_correction = bool(sec.pop("gaussian_correction", False))
+        gaussian = sec.pop("gaussian_correction", None)
+        if not isinstance(gaussian, (bool, type(None))):
+            raise ConfigError(
+                f"truncation.gaussian_correction must be true or false, got {gaussian!r}"
+            )
         trunc = TruncationSpec(
             **_numbers(sec, "truncation", big_cutoff_K=float, small_cutoff_eps=float),
-            gaussian_correction=gaussian_correction,
+            gaussian_correction=bool(gaussian),
         )
 
         dom = SpaceTimeDomain(
@@ -383,9 +394,12 @@ def _run_one_experiment(name: str, section, cfg: RunConfig, threads: int):
         )
     if name == "galerkin_convergence":
         _require_keys(section, {"m_list"}, {"m_list"}, name)
+        m_list = section["m_list"]
+        if not isinstance(m_list, list):
+            raise ConfigError(f"{name}.m_list must be a list of integers, got {m_list!r}")
+        m_list = [_scalar(int, m, f"{name}.m_list[{i}]") for i, m in enumerate(m_list)]
         return exp.run_galerkin_convergence(
-            problem, cfg.master_seed, section["m_list"], grid, window_steps=ws,
-            threads=threads,
+            problem, cfg.master_seed, m_list, grid, window_steps=ws, threads=threads
         )
     if name == "moment_estimate":
         _require_keys(section, {"n_paths", "p"}, {"n_paths"}, name)

@@ -222,6 +222,12 @@ COEFFICIENT_FAMILIES = {
 
 # -- audits -------------------------------------------------------------
 
+# Seed, state range and sample count of every audit, so that a verdict is a
+# pure function of the coefficients and the (t, x) ranges audited.
+_AUDIT_SEED = 0
+_AUDIT_U_RANGE = (-50.0, 50.0)
+_AUDIT_SAMPLES = 10000
+
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -234,32 +240,30 @@ class AuditReport:
     message: str = ""
 
 
-def _sample_points(seed, n, t_range, x_range, u_range, extremes):
+def _sample_points(n, t_range, x_range, extremes):
     """n random (t, x, u, v) points, then u = ``extremes`` (v reversed)
     at the earliest time, spread over the x range."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_AUDIT_SEED)
     k = extremes.size
     t = np.concatenate([rng.uniform(*t_range, size=n), np.full(k, t_range[0])])
     x = np.concatenate([rng.uniform(*x_range, size=n), np.linspace(*x_range, k)])
-    u = np.concatenate([rng.uniform(*u_range, size=n), extremes])
-    v = np.concatenate([rng.uniform(*u_range, size=n), np.flip(extremes)])
+    u = np.concatenate([rng.uniform(*_AUDIT_U_RANGE, size=n), extremes])
+    v = np.concatenate([rng.uniform(*_AUDIT_U_RANGE, size=n), np.flip(extremes)])
     return t, x, u, v
 
 
-def _u_extremes(spec: CoefficientSpec, u_range) -> np.ndarray:
+def _u_extremes(spec: CoefficientSpec) -> np.ndarray:
     edges = COEFFICIENT_FAMILIES[spec.family].u_edges(spec.params)
-    return np.asarray([u_range[0], u_range[1], 0.0, *edges])
+    return np.asarray([*_AUDIT_U_RANGE, 0.0, *edges])
 
 
 def validate_hypothesis(
     spec: CoefficientSpec,
     require_monotone: bool = False,
     *,
-    n_samples: int = 10000,
-    seed: int = 0,
+    n_samples: int = _AUDIT_SAMPLES,
     t_range=(0.0, 1.0),
     x_range=(0.0, 1.0),
-    u_range=(-50.0, 50.0),
 ) -> AuditReport:
     """Randomized audit of the declared Lipschitz/growth/monotone metadata.
 
@@ -270,7 +274,7 @@ def validate_hypothesis(
     """
     slack = 1e-9 * (1.0 + spec.lipschitz_bound + spec.growth_bound)
     t_all, x_all, u_all, v_all = _sample_points(
-        seed, n_samples, t_range, x_range, u_range, _u_extremes(spec, u_range)
+        n_samples, t_range, x_range, _u_extremes(spec)
     )
 
     fu = np.asarray(spec.evaluate(t_all, x_all, u_all))
@@ -330,16 +334,13 @@ def validate_hypothesis(
 def dominates(
     spec_f: CoefficientSpec,
     spec_g: CoefficientSpec,
-    samples: int = 10000,
     *,
-    seed: int = 0,
     t_range=(0.0, 1.0),
     x_range=(0.0, 1.0),
-    u_range=(-50.0, 50.0),
 ) -> AuditReport:
     """Randomized check that f <= g on the sampled set (ordering gate)."""
-    extremes = np.concatenate([_u_extremes(spec_f, u_range), _u_extremes(spec_g, u_range)])
-    t, x, u, _ = _sample_points(seed, samples, t_range, x_range, u_range, extremes)
+    extremes = np.concatenate([_u_extremes(spec_f), _u_extremes(spec_g)])
+    t, x, u, _ = _sample_points(_AUDIT_SAMPLES, t_range, x_range, extremes)
     fv = np.asarray(spec_f.evaluate(t, x, u))
     gv = np.asarray(spec_g.evaluate(t, x, u))
     slack = 1e-12 * (1.0 + np.abs(gv))

@@ -54,7 +54,6 @@ from .solvers import (
 
 __all__ = [
     "ExperimentReport",
-    "PositivePartEnergy",
     "positive_part_energy",
     "path_seed",
     "calibrate_grid_error",
@@ -180,18 +179,7 @@ def _report(name: str, t_start: float, seed: int, inputs: dict, **fields):
     )
 
 
-@dataclass(frozen=True)
-class PositivePartEnergy:
-    """Squared L2 norm of the positive part of a grid profile."""
-
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise ParameterError("positive-part energy cannot be negative")
-
-
-def positive_part_energy(w, dx: float) -> PositivePartEnergy:
+def positive_part_energy(w, dx: float) -> float:
     """Trapezoid value of int (w^+)^2 dx over grid-node values.
 
     Strictly positive node weights make the value vanish exactly when
@@ -199,7 +187,7 @@ def positive_part_energy(w, dx: float) -> PositivePartEnergy:
     """
     wp = np.maximum(np.asarray(w, dtype=float), 0.0) ** 2
     val = dx * (0.5 * wp[0] + wp[1:-1].sum() + 0.5 * wp[-1])
-    return PositivePartEnergy(float(val))
+    return float(val)
 
 
 # -- tolerance calibration ------------------------------------------------
@@ -379,9 +367,7 @@ def run_comparison(
         v = solve_mild(problem_v, rn, grid, window_steps=window_steps)
         diff = u.values - v.values
         viol = float(max(0.0, diff.max()))
-        energy = max(
-            positive_part_energy(row, dx).value for row in diff
-        )
+        energy = max(positive_part_energy(row, dx) for row in diff)
         return viol, energy
 
     results = _map_paths(worker, n_paths, threads)

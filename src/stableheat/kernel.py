@@ -228,13 +228,3 @@ class KernelEvaluator:
         value = value_at(t)
         c_fit = max(c_fit, value * t ** ((p - 1.0) / 2.0))
         return value, c_fit * t ** (-(p - 1.0) / 2.0)
-
-    def dump_samples(self, path, points) -> None:
-        """Diagnostic CSV of (t, x, y, value, method) rows."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,x,y,value,method\n")
-            for t, x, y in points:
-                fh.write(
-                    f"{t:.17g},{x:.17g},{y:.17g},"
-                    f"{float(self.eval(t, x, y)):.17g},{self._method_for(t)}\n"
-                )

@@ -16,6 +16,9 @@ truncated power-law density.  This is distributionally equivalent to
 the textbook construction via exponential waiting times on a shell
 partition of the jump space, but it is branch-free, fast, and makes
 realizations for different cutoffs pathwise coupled by plain filtering.
+A realization holds its jumps as three parallel time-sorted arrays
+(``taus``, ``xs``, ``zs``); the solvers, the integrator and the text
+format all read those arrays directly.
 
 All objects here are immutable after construction and safe to share
 across threads; parallelism is across seeds, never within a draw.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +43,6 @@ __all__ = [
     "StableParams",
     "TruncationSpec",
     "SpaceTimeDomain",
-    "JumpRecord",
     "NoiseRealization",
     "expected_jump_count",
     "compensator_drift",
@@ -117,12 +119,6 @@ class SpaceTimeDomain:
     def __post_init__(self):
         if self.horizon_T <= 0.0 or self.length_L <= 0.0:
             raise ParameterError("horizon_T and length_L must be positive")
-
-
-class JumpRecord(NamedTuple):
-    tau: float
-    x: float
-    z: float
 
 
 def expected_jump_count(
@@ -205,18 +201,6 @@ class NoiseRealization:
     def jump_count(self) -> int:
         return int(self.taus.size)
 
-    @property
-    def jumps(self) -> tuple[JumpRecord, ...]:
-        """Time-sorted jump records (materialized on demand)."""
-        return tuple(
-            JumpRecord(float(t), float(x), float(z))
-            for t, x, z in zip(self.taus, self.xs, self.zs)
-        )
-
-    def gaussian_std(self) -> float:
-        """Standard deviation density of the small-jump correction field."""
-        return math.sqrt(self.truncation.small_jump_variance_density(self.params))
-
     def gaussian_increments(self, n_time: int, n_space: int) -> np.ndarray:
         """Correction-field increments on an (n_time, n_space) cell grid.
 
@@ -234,7 +218,8 @@ class NoiseRealization:
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([self.seed, _GAUSSIAN_STREAM_TAG]))
         )
-        std = self.gaussian_std() * math.sqrt(dt * dx)
+        var = self.truncation.small_jump_variance_density(self.params)
+        std = math.sqrt(var) * math.sqrt(dt * dx)
         return std * rng.standard_normal((n_time, n_space))
 
     # -- serialization ------------------------------------------------

@@ -13,10 +13,10 @@ exploited deliberately:
 * values at times before the first event that distinguishes two coupled
   runs are bitwise identical between them.
 
-``solve_galerkin`` projects the noise onto the first m sine modes and
-integrates the resulting finite jump-driven stiff system exactly
-between events with an exponential step, applying jumps at their exact
-times.
+``solve_galerkin`` projects every jump onto the first m sine modes
+once, before it steps in time, and integrates the resulting finite
+jump-driven stiff system exactly between events with an exponential
+step, applying jumps at their exact times.
 
 Both solvers are deterministic functions of (problem, noise, grid) and
 share immutable inputs, so concurrent solves need no locking.
@@ -45,9 +45,7 @@ __all__ = [
     "ProblemSpec",
     "GridSolution",
     "SpectralSolution",
-    "ModeProjectedNoise",
     "solve_mild",
-    "project_noise",
     "solve_galerkin",
     "spectral_to_grid",
     "weak_form_residual",
@@ -172,18 +170,6 @@ class SpectralSolution:
     def __post_init__(self):
         if not np.all(np.isfinite(self.coeffs)):
             raise BlowUpError("non-finite coefficients in spectral solution")
-
-    @property
-    def mode_rates(self) -> np.ndarray:
-        """Decay rates n^2 pi^2 / (2 L^2) of the sine modes."""
-        L = self.problem.dom.length_L
-        n = np.arange(1, self.m + 1)
-        return (n * math.pi / L) ** 2 / 2.0
-
-    @property
-    def basis_sup(self) -> float:
-        """Uniform sup bound sqrt(2/L) of every basis function."""
-        return math.sqrt(2.0 / self.problem.dom.length_L)
 
 
 def _basis_matrix(x: np.ndarray, m: int, length_L: float) -> np.ndarray:
@@ -340,7 +326,6 @@ def solve_mild(
     grid: GridSpec,
     *,
     window_steps: int = 4,
-    kernel: KernelEvaluator | None = None,
 ) -> GridSolution:
     """Discretized heat-kernel integral equation, solved in one causal pass.
 
@@ -363,7 +348,7 @@ def solve_mild(
     n_t, n_x = grid.n_t, grid.n_x
     dt = grid.dt(T)
     n_q = 4 * n_x
-    ke = kernel or KernelEvaluator(length_L=L)
+    ke = KernelEvaluator(length_L=L)
     x_out = grid.nodes(L)
     y_q, w_q = ke.quad_nodes(n_q)
     x_all = np.concatenate([x_out, y_q])
@@ -417,51 +402,11 @@ def _check_noise_matches(problem: ProblemSpec, noise: NoiseRealization) -> None:
 # -- spectral projection solver ------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModeProjectedNoise:
-    """Coordinate jump paths of the noise in the sine basis.
-
-    Mode n jumps by ``e_n(x_j) * z_j`` at each jump time and drifts at
-    the constant compensator rate ``mu * int e_n``.
-    """
-
-    taus: np.ndarray
-    increments: np.ndarray  # shape (n_jumps, m)
-    compensator_rates: np.ndarray  # shape (m,)
-    m: int
-
-    def path_values(self, mode: int, times) -> np.ndarray:
-        """Compensated path of one mode (1-based) at the given times."""
-        if not 1 <= mode <= self.m:
-            raise ParameterError(f"mode must be in 1..{self.m}")
-        ts = np.asarray(times, dtype=float)
-        jump_sums = np.array(
-            [self.increments[self.taus <= t, mode - 1].sum() for t in ts]
-        )
-        return jump_sums - self.compensator_rates[mode - 1] * ts
-
-
 def _basis_integrals(m: int, length_L: float) -> np.ndarray:
     """Exact integrals of the basis functions over [0, L]."""
     n = np.arange(1, m + 1)
     return math.sqrt(2.0 / length_L) * length_L * (1.0 - np.cos(n * np.pi)) / (
         n * np.pi
-    )
-
-
-def project_noise(noise: NoiseRealization, m: int) -> ModeProjectedNoise:
-    """Exact projection of the jumps onto the first m sine modes."""
-    if m < 1:
-        raise ParameterError("m must be >= 1")
-    L = noise.domain.length_L
-    basis_at_jumps = _basis_matrix(noise.xs, m, L)
-    increments = basis_at_jumps * noise.zs[:, None]
-    rates = noise.compensator_mu * _basis_integrals(m, L)
-    return ModeProjectedNoise(
-        taus=noise.taus.copy(),
-        increments=increments,
-        compensator_rates=rates,
-        m=int(m),
     )
 
 
@@ -479,8 +424,6 @@ def solve_galerkin(
     noise: NoiseRealization,
     m: int,
     grid: GridSpec,
-    *,
-    n_quad: int | None = None,
 ) -> SpectralSolution:
     """Event-driven exponential integration of the m-mode projection.
 
@@ -499,7 +442,7 @@ def solve_galerkin(
     T, L = problem.dom.horizon_T, problem.dom.length_L
     n_t = grid.n_t
     dt = grid.dt(T)
-    n_q = n_quad or 4 * grid.n_x
+    n_q = 4 * grid.n_x
     if m > n_q // 4:
         raise ParameterError(
             f"m={m} too large for quadrature resolution n_quad={n_q}"
@@ -534,7 +477,8 @@ def solve_galerkin(
         return np.exp(-lam_d) * a_vec + delta * _phi1(lam_d) * b
 
     jump_idx = 0
-    taus, xs, zs = noise.taus, noise.xs, noise.zs
+    taus = noise.taus
+    increments = _basis_matrix(noise.xs, m, L) * noise.zs[:, None]  # (n_jumps, m)
     for i in range(n_t):
         t0, t1 = i * dt, (i + 1) * dt
         t_cur = t0
@@ -543,8 +487,7 @@ def solve_galerkin(
             a = advance(a, t_cur, tau - t_cur, i)
             u_q = basis @ a
             pv = np.asarray(problem.noise_coef.evaluate(tau, y_q, u_q), float)
-            mode_vals = _basis_matrix(np.asarray([xs[jump_idx]]), m, L)[0]
-            spike = basis @ (mode_vals * zs[jump_idx])
+            spike = basis @ increments[jump_idx]
             a = a + basis.T @ (w_q * pv * spike)
             t_cur = tau
             jump_idx += 1

@@ -164,6 +164,18 @@ class TestSolve:
                 },
                 "coefficients.noise_coef.base",
             ),
+            (
+                {
+                    "truncation": {
+                        "big_cutoff_K": 1.0,
+                        "small_cutoff_eps": 0.05,
+                        "gaussian_correction": "false",
+                    }
+                },
+                "truncation.gaussian_correction",
+            ),
+            ({"grid": {"n_t": 16.5, "n_x": 8}}, "grid.n_t"),
+            ({"grid": {"n_t": 16, "n_x": True}}, "grid.n_x"),
         ],
         ids=[
             "non-numeric-param",
@@ -173,6 +185,9 @@ class TestSolve:
             "section-not-object",
             "non-numeric-override",
             "base-not-object",
+            "string-flag",
+            "fractional-integer",
+            "boolean-integer",
         ],
     )
     def test_malformed_value_exits_validation(self, tmp_path, capsys, overrides, where):
@@ -182,6 +197,13 @@ class TestSolve:
             == EXIT_VALIDATION
         )
         assert where in capsys.readouterr().err
+
+    def test_integral_float_accepted_for_integer_key(self, tmp_path):
+        cfg = write_config(tmp_path, {"grid": {"n_t": 16.0, "n_x": 8}})
+        out = tmp_path / "o"
+        assert main(["sample-noise", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        effective = json.loads((out / "effective_config.json").read_text())
+        assert effective["grid"]["n_t"] == 16
 
     def test_missing_family_rejected(self, tmp_path):
         cfg = write_config(
@@ -260,6 +282,25 @@ class TestVerify:
             == EXIT_EXPERIMENT
         )
         assert "galerkin_convergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiments, where",
+        [
+            ({"stopping_law": {"K": 1.0, "n_paths": 2.5}}, "stopping_law.n_paths"),
+            ({"stopping_law": {"K": 1.0, "n_paths": True}}, "stopping_law.n_paths"),
+            ({"galerkin_convergence": {"m_list": ["x", 4]}}, "galerkin_convergence.m_list"),
+            ({"galerkin_convergence": {"m_list": 4}}, "galerkin_convergence.m_list"),
+        ],
+        ids=["fractional-n-paths", "boolean-n-paths", "non-integer-m", "m-list-not-list"],
+    )
+    def test_malformed_experiment_value_exits_validation(
+        self, tmp_path, capsys, experiments, where
+    ):
+        cfg = write_config(tmp_path, {"experiments": experiments})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert where in capsys.readouterr().err
+        assert not (out / "reports" / "stopping_law.json").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"extra_section": {"a": 1}})

@@ -16,8 +16,11 @@ from stableheat.cli import RunConfig
 from stableheat.coefficients import (
     COEFFICIENT_FAMILIES,
     INITIAL_FAMILIES,
+    dominates,
+    shifted,
     validate_hypothesis,
 )
+from stableheat.errors import HypothesisError
 
 # Zero is drawn often: it selects the families that vanish at zero state
 # and the degenerate slopes.
@@ -137,3 +140,15 @@ def test_declared_bounds_pass_the_audit(family, data, length_L):
         spec, spec.monotone_in_u, n_samples=2000, x_range=(0.0, length_L)
     )
     assert report.passed
+
+
+@pytest.mark.parametrize("family", sorted(COEFFICIENT_FAMILIES))
+@FAMILY_SETTINGS
+@given(data=st.data(), length_L=LENGTHS, d=st.floats(1e-6, 10.0))
+def test_ordering_gate_sees_a_constant_shift(family, data, length_L, d):
+    g = draw_family(data, COEFFICIENT_FAMILIES, family, length_L)
+    x_range = (0.0, length_L)
+    assert dominates(shifted(g, -d), g, x_range=x_range).passed
+    with pytest.raises(HypothesisError) as err:
+        dominates(shifted(g, d), g, x_range=x_range)
+    assert 0.0 <= err.value.witness[1] <= length_L

@@ -167,12 +167,3 @@ class TestLpBound:
         value, _ = ke.lp_norm_bound_check(1.0, 0.5, 2.0, 512)
         assert value < 1e-3
 
-
-def test_dump_samples(tmp_path):
-    ke = KernelEvaluator(1.0)
-    path = tmp_path / "kernel.csv"
-    ke.dump_samples(path, [(0.1, 0.5, 0.5), (0.5, 0.25, 0.75)])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,x,y,value,method"
-    assert len(lines) == 3
-    assert lines[1].endswith("image_sum") or lines[1].endswith("spectral")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stableheat.errors import (
     DivergenceError,
@@ -396,10 +398,78 @@ class TestSerialization:
         sample_noise(SYM, TruncationSpec(1.0, 0.05), DOM, 4).save_text(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_jump_records_view(self):
-        r = sample_noise(SYM, TruncationSpec(1.0, 0.3), DOM, 8)
-        recs = r.jumps
-        assert len(recs) == r.jump_count
-        if recs:
-            assert recs[0].tau == r.taus[0]
-            assert recs[0].z == r.zs[0]
+
+# -- properties over drawn realizations ------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def realizations(draw):
+    """A valid realization with drawn parameters and drawn jump arrays
+    (arbitrary floats, so the text round trip sees every digit)."""
+    c_plus = draw(st.floats(0.0, 1.0))
+    params = StableParams(draw(st.floats(1.01, 1.99)), c_plus, 1.0 - c_plus)
+    eps = draw(st.floats(1e-3, 0.5))
+    trunc = TruncationSpec(eps + draw(st.floats(1e-6, 10.0)), eps, draw(st.booleans()))
+    dom = SpaceTimeDomain(draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 5.0)))
+    n = draw(st.integers(0, 20))
+
+    def column(elements):
+        return np.asarray(draw(st.lists(elements, min_size=n, max_size=n)), float)
+
+    mags = column(st.floats(eps, trunc.big_cutoff_K, exclude_min=True))
+    signs = np.where(column(st.booleans()) > 0.0, 1.0, -1.0)
+    return NoiseRealization(
+        params=params,
+        truncation=trunc,
+        domain=dom,
+        taus=np.sort(column(st.floats(0.0, dom.horizon_T))),
+        xs=column(st.floats(0.0, dom.length_L)),
+        zs=signs * mags,
+        compensator_mu=compensator_drift(params, trunc),
+        seed=draw(st.integers(0, 2**63 - 1)),
+    )
+
+
+def assert_same_arrays(a, b):
+    for name in ("taus", "xs", "zs"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+@PROPERTY_SETTINGS
+@given(r=realizations())
+def test_save_load_round_trip_is_bitwise(tmp_path_factory, r):
+    path = tmp_path_factory.mktemp("noise") / "noise.txt"
+    r.save_text(path)
+    back = NoiseRealization.load_text(path)
+    assert_same_arrays(back, r)
+    assert (back.params, back.truncation, back.domain) == (r.params, r.truncation, r.domain)
+    assert (back.seed, back.compensator_mu) == (r.seed, r.compensator_mu)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), r=realizations())
+def test_restrict_keeps_small_jumps_in_order_and_composes(data, r):
+    eps, big = r.truncation.small_cutoff_eps, r.truncation.big_cutoff_K
+
+    def cutoff(upper, label):
+        # a cutoff equal to a jump magnitude tests the closed end of |z| <= K
+        on_jump = [m for m in np.abs(r.zs).tolist() if m <= upper]
+        drawn = st.floats(eps, upper, exclude_min=True)
+        if on_jump:
+            drawn = st.one_of(drawn, st.sampled_from(on_jump))
+        return data.draw(drawn, label=label)
+
+    k1 = cutoff(big, "K1")
+    k2 = cutoff(k1, "K2")
+    once = restrict(r, k2)
+    keep = np.abs(r.zs) <= k2
+    assert once.taus.tobytes() == r.taus[keep].tobytes()
+    assert once.xs.tobytes() == r.xs[keep].tobytes()
+    assert once.zs.tobytes() == r.zs[keep].tobytes()
+    assert once.seed == r.seed and once.truncation.big_cutoff_K == k2
+    twice = restrict(restrict(r, k1), k2)
+    assert_same_arrays(twice, once)
+    assert twice.truncation == once.truncation
+    assert twice.compensator_mu == once.compensator_mu

@@ -31,12 +31,12 @@ from stableheat.solvers import (
     ProblemSpec,
     grid_h_norm,
     grid_lp_norm_p,
-    project_noise,
     solve_galerkin,
     solve_mild,
     spectral_to_grid,
     weak_form_residual,
     _LAG_MIN_FACTOR,
+    _basis_matrix,
     _integrand_column,
     _lag_matrices,
     _solve_window,
@@ -358,15 +358,6 @@ class TestGalerkin:
         )
         np.testing.assert_allclose(sol.coeffs[:, 0], expected, atol=1e-13)
 
-    def test_mode_rates_and_sup(self):
-        prob = make_problem()
-        noise = sample_noise(SYM, TRUNC, DOM, 7)
-        sol = solve_galerkin(prob, noise, 4, GridSpec(8, 8))
-        np.testing.assert_allclose(
-            sol.mode_rates, [(n * math.pi) ** 2 / 2 for n in (1, 2, 3, 4)]
-        )
-        assert sol.basis_sup == pytest.approx(math.sqrt(2.0))
-
     def test_galerkin_approaches_mild(self):
         prob = make_problem(
             drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0)
@@ -388,23 +379,48 @@ class TestGalerkin:
 
 
 class TestProjectNoise:
+    """The jump projection inside solve_galerkin: with phi = 1, no drift
+    and zero initial data, mode n jumps by e_n(x_j) * z_j and otherwise
+    decays at its rate (plus the compensator drift)."""
+
+    @staticmethod
+    def coeffs(noise, m, grid=GridSpec(10, 8)):
+        prob = make_problem(noise_coef=constant(1.0), init=ic_zero(), params=noise.params)
+        return solve_galerkin(prob, noise, m, grid).coeffs
+
     def test_single_jump_midpoint(self):
-        pn = project_noise(manual_noise([0.4], [0.5], [0.9]), 1)
-        assert pn.increments[0, 0] == pytest.approx(math.sqrt(2.0) * 0.9)
+        # the jump lands on grid time 0.4, so no decay has acted yet
+        a = self.coeffs(manual_noise([0.4], [0.5], [0.9]), 1)
+        assert a[4, 0] == pytest.approx(math.sqrt(2.0) * 0.9, rel=1e-12)
 
     def test_node_of_basis_kills_mode(self):
-        pn = project_noise(manual_noise([0.4], [1.0 / 3.0], [0.9]), 3)
-        assert abs(pn.increments[0, 2]) < 1e-12
+        a = self.coeffs(manual_noise([0.4], [1.0 / 3.0], [0.9]), 3)
+        assert np.max(np.abs(a[:, 2])) < 1e-12
+        assert abs(a[4, 0]) > 0.1
 
     def test_symmetric_drift_zero(self):
-        pn = project_noise(sample_noise(SYM, TRUNC, DOM, 3), 5)
-        assert np.all(pn.compensator_rates == 0.0)
+        assert np.all(self.coeffs(manual_noise([], [], []), 5) == 0.0)
+        one_sided = manual_noise([], [], [], params=ASYM)
+        assert self.coeffs(one_sided, 5)[-1, 0] < 0.0
 
     def test_path_values(self):
-        pn = project_noise(manual_noise([0.25, 0.75], [0.5, 0.5], [1.0, -1.0]), 1)
-        vals = pn.path_values(1, [0.5, 1.0])
-        assert vals[0] == pytest.approx(math.sqrt(2.0))
-        assert vals[1] == pytest.approx(0.0, abs=1e-14)
+        noise = manual_noise([0.25, 0.75], [0.5, 0.5], [1.0, -1.0])
+        a = self.coeffs(noise, 1, GridSpec(8, 8))[:, 0]
+        decay = lambda t: math.exp(-HEAT_RATE * t)
+        assert a[4] == pytest.approx(math.sqrt(2.0) * decay(0.25), rel=1e-12)
+        expected = math.sqrt(2.0) * (decay(0.75) - decay(0.25))
+        assert a[8] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8, 16, 32])
+    def test_batched_rows_equal_per_jump_rows(self, m):
+        # solve_galerkin projects all jumps in one call; each row must equal
+        # the row of a one-jump call bitwise, so the batch changes no output
+        for seed in range(5):
+            noise = sample_noise(SYM, TRUNC, DOM, seed)
+            rows = _basis_matrix(noise.xs, m, 1.0)
+            for j, x in enumerate(noise.xs):
+                one = _basis_matrix(np.asarray([x]), m, 1.0)[0]
+                assert rows[j].tobytes() == one.tobytes()
 
 
 class TestSpectralToGrid:
