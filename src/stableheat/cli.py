@@ -88,7 +88,27 @@ def _scalar(kind, value, where: str):
     ):
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{where} must be {noun}, got {value!r}")
+    try:
+        float(value)  # an integer longer than any double is refused, int or not
+    except OverflowError:
+        raise ConfigError(f"{where} must be a number within the double range") from None
     return kind(value)
+
+
+# Family constructor annotations (strings: coefficients.py postpones them)
+# whose parameters hold JSON numbers.
+_NUMBER_KINDS = {"float": float, "int": int}
+
+
+def _family_param(annotation: str, value, where: str):
+    """A family parameter under the JSON-type rule of ``_scalar``."""
+    if annotation in _NUMBER_KINDS:
+        return _scalar(_NUMBER_KINDS[annotation], value, where)
+    if annotation == "Sequence[float]":
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+        return [_scalar(float, v, where) for v in value]
+    return value
 
 
 def _number(kind, section: dict, key: str, where: str, default=None):
@@ -109,8 +129,11 @@ def _parse_family(section, table: dict, length_L: float, where: str):
     ``table`` maps family names to entries whose ``make`` is the family's
     constructor; ``params`` are its keyword arguments.  An omitted
     ``length`` takes the domain length and a ``base`` is parsed as a
-    nested entry.  The entry's other keys override fields of the built
-    object, such as a coefficient's declared bounds.
+    nested entry.  Number-typed ``params`` follow the JSON-type rule of
+    ``_scalar``.  A ``sine_modulated`` entry shorter than the domain is
+    not declared monotone in u unless it ignores u.  The entry's other
+    keys override fields of the built object, such as a coefficient's
+    declared bounds.
     """
     _object(section, where)
     _require_keys(section, set(section), {"family"}, where)
@@ -129,10 +152,20 @@ def _parse_family(section, table: dict, length_L: float, where: str):
     unknown = sorted(set(params) - set(signature))
     if unknown:
         raise ConfigError(f"unknown {family} parameter(s) {unknown} in {where}")
+    params = {
+        k: _family_param(signature[k].annotation, v, f"{where}.params.{k}")
+        for k, v in params.items()
+    }
     overrides = {k: v for k, v in section.items() if k not in ("family", "params")}
     try:
         built = table[family].make(**params)
         _require_keys(section, {f.name for f in fields(built)}, set(), where)
+        p = built.params
+        if family == "sine_modulated" and p["length"] < length_L:
+            # Monotone in u for x in [0, length] only: beyond it the sine
+            # turns negative, and f decreases in u unless it ignores u.
+            ignores_u = p["amplitude"] * p["u_slope"] == 0.0
+            built = replace(built, monotone_in_u=built.monotone_in_u and ignores_u)
         return replace(built, **overrides)
     except ConfigError:
         raise

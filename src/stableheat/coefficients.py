@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -424,7 +424,7 @@ def ic_bump(amplitude: float, center: float, width: float) -> InitialCondition:
     )
 
 
-def ic_tabulated(xs, values) -> InitialCondition:
+def ic_tabulated(xs: Sequence[float], values: Sequence[float]) -> InitialCondition:
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     if xs.ndim != 1 or xs.shape != values.shape or xs.size < 2:

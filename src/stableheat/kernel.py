@@ -17,12 +17,28 @@ tail bounds are comparable, so the configured absolute tolerance is
 certified analytically at every call: evaluations whose truncation
 bound exceeds ``abs_tol`` raise instead of silently degrading.
 
+Each image-sum value sums only its own image count M(t): the smallest
+M <= ``image_terms`` whose tail bound is within ``_IMAGE_TAIL_FRACTION``
+of ``abs_tol`` (three images at the lags the solvers use).  Below the
+crossover the tail bound grows with t, so M(t) is a step function whose
+limits are bisected once per evaluator configuration.
+
+``eval`` takes arrays of t that broadcast with x and y, and certifies a
+batch once per method: the image sum at the batch's largest t, the
+series at its smallest, since the image bound grows and the series
+bound falls with t.  A value depends on its own (t, x, y) only, never on
+the batch around it: the batch is evaluated at its largest image count,
+the shifts beyond an element's own count are exact zeros, and terms are
+summed in order along one axis, so a batched value equals the scalar
+one bitwise.
+
 At t = 0 the kernel is a delta distribution; pointwise evaluation is
 refused and :meth:`KernelEvaluator.convolve` implements the identity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -39,6 +55,10 @@ from .errors import (
 __all__ = ["KernelEvaluator"]
 
 _METHODS = ("auto", "image_sum", "spectral")
+
+# An image sum stops at the first image count whose tail bound is within
+# this fraction of abs_tol; only image_terms itself is held to abs_tol.
+_IMAGE_TAIL_FRACTION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -68,14 +88,10 @@ class KernelEvaluator:
         """Hand-off point between image sum (below) and series (above)."""
         return self.length_L ** 2 / math.pi
 
-    def _method_for(self, t: float) -> str:
-        if self.method != "auto":
-            return self.method
-        return "image_sum" if t < self.crossover_time else "spectral"
-
-    def image_tail_bound(self, t: float) -> float:
-        """Upper bound on the dropped |k| > image_terms image terms."""
-        L, M = self.length_L, self.image_terms
+    def image_tail_bound(self, t: float, M: int | None = None) -> float:
+        """Upper bound on the dropped |k| > M image terms (M = image_terms by default)."""
+        L = self.length_L
+        M = self.image_terms if M is None else M
         # |y-x+2kL| >= (2|k|-1)L and |y+x+2kL| >= (2|k|-2)L for |k| > M,
         # x, y in [0, L]; four tail branches, summed until negligible.
         total = 0.0
@@ -100,14 +116,15 @@ class KernelEvaluator:
                 break
         return 2.0 / L * total
 
-    def truncation_bound(self, t: float, method: str | None = None) -> float:
-        method = method or self._method_for(t)
-        if method == "image_sum":
-            return self.image_tail_bound(t)
-        return self.spectral_tail_bound(t)
+    def _image_counts(self, t: np.ndarray) -> np.ndarray:
+        """The certified image count M(t) of each element of t."""
+        return 1 + np.searchsorted(_image_count_limits(self), t, "left")
 
     def _check_accuracy(self, t: float, method: str) -> None:
-        bound = self.truncation_bound(t, method)
+        if method == "image_sum":
+            bound = self.image_tail_bound(t)
+        else:
+            bound = self.spectral_tail_bound(t)
         if bound > self.abs_tol:
             raise AccuracyError(
                 f"kernel truncation bound {bound:.3e} exceeds abs_tol "
@@ -117,19 +134,33 @@ class KernelEvaluator:
 
     # -- pointwise evaluation ------------------------------------------
 
-    def eval(self, t: float, x, y):
-        """Kernel value(s) at time t > 0; x, y broadcast together."""
-        if t < 0.0:
-            raise ParameterError(f"t must be non-negative, got {t}")
-        if t == 0.0:
+    def eval(self, t, x, y):
+        """Kernel value(s) at times t > 0; t, x and y broadcast together."""
+        tb, xb, yb = np.broadcast_arrays(*(np.asarray(v, float) for v in (t, x, y)))
+        if tb.size == 0:
+            return np.zeros(tb.shape)
+        t_min = tb.min()
+        if t_min < 0.0:
+            raise ParameterError(f"t must be non-negative, got {t_min}")
+        if t_min == 0.0:
             raise DeltaSingularityError(
                 "kernel at t=0 is a delta distribution; use convolve for t=0"
             )
-        method = self._method_for(t)
-        self._check_accuracy(t, method)
-        if method == "image_sum":
-            return self._eval_image(t, x, y)
-        return self._eval_spectral(t, x, y)
+        if self.method == "auto":
+            on_image = tb < self.crossover_time
+        else:
+            on_image = np.full(tb.shape, self.method == "image_sum")
+        if on_image.all():
+            out = self._eval_image(tb, xb, yb)
+        elif not on_image.any():
+            out = self._eval_spectral(tb, xb, yb)
+        else:  # the batch straddles the crossover: each side by its method
+            out = np.empty(tb.shape)
+            rest = ~on_image
+            out[on_image] = self._eval_image(tb[on_image], xb[on_image], yb[on_image])
+            out[rest] = self._eval_spectral(tb[rest], xb[rest], yb[rest])
+        out = np.where(self._boundary_mask(xb, yb), 0.0, out)
+        return out if out.ndim else float(out)
 
     def _boundary_mask(self, xb, yb):
         # The kernel vanishes identically on the boundary; the truncated
@@ -138,29 +169,31 @@ class KernelEvaluator:
         L = self.length_L
         return (xb == 0.0) | (xb == L) | (yb == 0.0) | (yb == L)
 
-    def _eval_image(self, t: float, x, y):
-        L = self.length_L
-        xb, yb = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        shifts = 2.0 * L * np.arange(-self.image_terms, self.image_terms + 1)
-        shifts = shifts.reshape((-1,) + (1,) * xb.ndim)
-        diff = yb - xb + shifts
-        summ = yb + xb + shifts
+    def _eval_image(self, t, x, y):
+        t_max = float(t.max())
+        # The tail bound grows with t below the crossover, so the largest
+        # t certifies the batch; beyond it every t is checked.
+        for t_check in [t_max] if t_max < self.crossover_time else np.unique(t):
+            self._check_accuracy(float(t_check), "image_sum")
+        counts = self._image_counts(t)
+        m = int(counts.max())
+        k = np.arange(-m, m + 1).reshape((-1,) + (1,) * t.ndim)
+        shifts = 2.0 * self.length_L * k
+        diff = y - x + shifts
+        summ = y + x + shifts
         val = np.exp(-diff * diff / (2.0 * t)) - np.exp(-summ * summ / (2.0 * t))
-        out = val.sum(axis=0) / math.sqrt(2.0 * math.pi * t)
-        out = np.where(self._boundary_mask(xb, yb), 0.0, out)
-        return out if out.ndim else float(out)
+        # Shifts beyond an element's own count add exact zeros.
+        val = np.where(np.abs(k) <= counts, val, 0.0)
+        return _in_order_sum(val) / np.sqrt(2.0 * math.pi * t)
 
-    def _eval_spectral(self, t: float, x, y):
+    def _eval_spectral(self, t, x, y):
+        # The series tail bound falls as t grows: the smallest t certifies.
+        self._check_accuracy(float(t.min()), "spectral")
         L = self.length_L
-        xb, yb = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        n = np.arange(1, self.spectral_modes + 1)
+        n = np.arange(1, self.spectral_modes + 1).reshape((-1,) + (1,) * t.ndim)
         decay = np.exp(-(n * math.pi / L) ** 2 * t / 2.0)
-        n = n.reshape((-1,) + (1,) * xb.ndim)
-        decay = decay.reshape((-1,) + (1,) * xb.ndim)
-        val = np.sin(n * math.pi * xb / L) * np.sin(n * math.pi * yb / L) * decay
-        out = 2.0 / L * val.sum(axis=0)
-        out = np.where(self._boundary_mask(xb, yb), 0.0, out)
-        return out if out.ndim else float(out)
+        val = np.sin(n * math.pi * x / L) * np.sin(n * math.pi * y / L) * decay
+        return 2.0 / L * _in_order_sum(val)
 
     # -- integral operations -------------------------------------------
 
@@ -228,3 +261,35 @@ class KernelEvaluator:
         value = value_at(t)
         c_fit = max(c_fit, value * t ** ((p - 1.0) / 2.0))
         return value, c_fit * t ** (-(p - 1.0) / 2.0)
+
+
+def _in_order_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum along axis 0 one term after another.
+
+    ``terms.sum(axis=0)`` sums a 1-d array pairwise but a wider one row by
+    row, so its result would depend on the shape of the batch.
+    """
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+@functools.lru_cache(maxsize=16)
+def _image_count_limits(ke: KernelEvaluator) -> tuple:
+    """limits[M-1]: a t up to which M < image_terms images are certified.
+
+    Each limit is bisected on (0, crossover_time], where the tail bound
+    grows with t, and is a t at which the bound holds (or 0.0).  More
+    images hold the bound at every t where fewer do, so the bisections
+    part ways in order and the limits come out sorted.
+    """
+    target = _IMAGE_TAIL_FRACTION * ke.abs_tol
+    limits = []
+    for m in range(1, ke.image_terms):
+        lo, hi = 0.0, ke.crossover_time
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if ke.image_tail_bound(mid, m) <= target:
+                lo = mid
+            else:
+                hi = mid
+        limits.append(lo)
+    return tuple(limits)

@@ -238,6 +238,42 @@ def _integrand_column(problem, mu, s, y_q, u, gauss_row):
     return col
 
 
+def _jump_kernels(ke, x_all, y_q, w_q, src_times, t_targets, jt, jx, lag_min):
+    """Every kernel value one window's jumps read, in one ``eval`` call per kind.
+
+    With slot(l) the grid step whose jumps include jump l, returns
+    (near, rows, jj, cols):
+
+    * rows[l, k] = G(jt_l - s_k, jx_l, y_q) * w_q for sources k <= slot(l)
+      whose lag is at least lag_min; ``near`` marks the shorter lags,
+      where the kernel acts as the identity and the march interpolates;
+    * jj[l, k] = G(jt_l - jt_k, jx_l, jx_k) for strictly earlier jumps k;
+    * cols[l, i] = G(max(t_i - jt_l, 1e-18), x_all, jx_l) for i >= slot(l).
+    """
+    slot = np.searchsorted(t_targets, jt, "left")[:, None]
+    steps = np.arange(t_targets.size)
+
+    src_lag = jt[:, None] - src_times
+    near = src_lag < lag_min
+    use = (steps <= slot) & ~near
+    rows = np.zeros(use.shape + y_q.shape)
+    at = np.nonzero(use)[0]
+    rows[use] = ke.eval(src_lag[use][:, None], jx[at, None], y_q) * w_q
+
+    jj_lag = jt[:, None] - jt
+    earlier = jj_lag > 0.0  # times are sorted, so only k < l qualify
+    jj = np.zeros(earlier.shape)
+    at_l, at_k = np.nonzero(earlier)
+    jj[earlier] = ke.eval(jj_lag[earlier], jx[at_l], jx[at_k])
+
+    ahead = steps >= slot
+    cols = np.zeros(ahead.shape + x_all.shape)
+    tgt_lag = np.maximum(t_targets - jt[:, None], 1e-18)
+    at = np.nonzero(ahead)[0]
+    cols[ahead] = ke.eval(tgt_lag[ahead][:, None], x_all, jx[at, None])
+    return near, rows, jj, cols
+
+
 def _solve_window(
     problem,
     noise,
@@ -266,14 +302,22 @@ def _solve_window(
     jt, jx, jz = jumps
     n_jump = jt.size
     t_targets = a + dt * np.arange(1, w + 1)
+    # Each batched kernel value depends on its own arguments only, and the
+    # march below keeps the per-jump order of the dot products and
+    # updates, so the batches change no bit of the result (nor the
+    # cross-cutoff prefix, whatever later jumps a batch holds).
+    if n_jump:
+        near, rows, jj, cols = _jump_kernels(
+            ke, x_all, y_q, w_q, a + np.arange(w) * dt, t_targets, jt, jx, lag_min
+        )
 
-    # Scalar kernel row applied at a jump point.  Lags below the
+    # Kernel row of source k applied at jump l.  Lags below the
     # quadrature resolution fall back to interpolation (the kernel acts
     # as the identity there).
-    def row_apply(lag, x_pt, vec_q):
-        if lag < lag_min:
-            return float(np.interp(x_pt, y_q, vec_q))
-        return float((ke.eval(lag, float(x_pt), y_q) * w_q) @ vec_q)
+    def row_apply(l, k, vec_q):
+        if near[l, k]:
+            return float(np.interp(jx[l], y_q, vec_q))
+        return float(rows[l, k] @ vec_q)
 
     # Propagation of the window-initial state to every target time.
     targets = (kmats[:w].reshape(-1, n_q) @ v_a_q).reshape(w, -1)
@@ -296,20 +340,18 @@ def _solve_window(
         # Jumps in (s_j, s_(j+1)], in time order: each reads v_a, the
         # drift sources s_0..s_j and the earlier jumps of the window.
         while l < n_jump and jt[l] <= t_targets[j]:
-            val = row_apply(jt[l] - a, jx[l], v_a_q)
+            val = row_apply(l, 0, v_a_q)
             for k in range(j + 1):
                 s_k = a + k * dt
                 weight = min(a + (k + 1) * dt, jt[l]) - s_k
-                val += weight * row_apply(jt[l] - s_k, jx[l], h[k])
+                val += weight * row_apply(l, k, h[k])
             for k in range(l):
                 if jt[l] > jt[k]:
-                    val += float(ke.eval(jt[l] - jt[k], jx[l], jx[k])) * kick[k]
+                    val += float(jj[l, k]) * kick[k]
             u_left[l] = val
             phi = float(problem.noise_coef.evaluate(jt[l], jx[l], val))
             kick[l] = phi * jz[l]
-            for i in range(j, w):
-                lag = max(t_targets[i] - jt[l], 1e-18)
-                targets[i] += ke.eval(lag, x_all, jx[l]) * kick[l]
+            targets[j:] += cols[l, j:] * kick[l]
             l += 1
 
     if not (np.all(np.isfinite(targets)) and np.all(np.isfinite(u_left))):

@@ -9,6 +9,7 @@ from stableheat.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    RunConfig,
     main,
 )
 
@@ -176,6 +177,46 @@ class TestSolve:
             ),
             ({"grid": {"n_t": 16.5, "n_x": 8}}, "grid.n_t"),
             ({"grid": {"n_t": 16, "n_x": True}}, "grid.n_x"),
+            (
+                {
+                    "coefficients": {
+                        "drift": {"family": "affine", "params": {"a": True, "b": 0.2}},
+                        "noise_coef": {"family": "zero"},
+                    }
+                },
+                "coefficients.drift.params.a",
+            ),
+            (
+                {"initial": {"family": "sine_mode", "params": {"mode": 1, "amplitude": "1.5"}}},
+                "initial.params.amplitude",
+            ),
+            (
+                {"initial": {"family": "sine_mode", "params": {"mode": True, "amplitude": 1.0}}},
+                "initial.params.mode",
+            ),
+            (
+                {
+                    "initial": {
+                        "family": "tabulated",
+                        "params": {"xs": [0.0, "0.5", 1.0], "values": [0.0, 1.0, 0.0]},
+                    }
+                },
+                "initial.params.xs",
+            ),
+            ({"domain": {"horizon_T": 10**400, "length_L": 1.0}}, "domain.horizon_T"),
+            (
+                {
+                    "coefficients": {
+                        "drift": {"family": "affine", "params": {"a": 0.0, "b": -(10**400)}},
+                        "noise_coef": {"family": "zero"},
+                    }
+                },
+                "coefficients.drift.params.b",
+            ),
+            (
+                {"initial": {"family": "sine_mode", "params": {"mode": 10**400, "amplitude": 1.0}}},
+                "initial.params.mode",
+            ),
         ],
         ids=[
             "non-numeric-param",
@@ -188,6 +229,13 @@ class TestSolve:
             "string-flag",
             "fractional-integer",
             "boolean-integer",
+            "boolean-family-param",
+            "string-family-param",
+            "boolean-family-mode",
+            "string-table-entry",
+            "integer-beyond-double",
+            "family-param-beyond-double",
+            "integer-mode-beyond-double",
         ],
     )
     def test_malformed_value_exits_validation(self, tmp_path, capsys, overrides, where):
@@ -204,6 +252,16 @@ class TestSolve:
         assert main(["sample-noise", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         effective = json.loads((out / "effective_config.json").read_text())
         assert effective["grid"]["n_t"] == 16
+
+    def test_integral_float_accepted_for_family_mode(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {"initial": {"family": "sine_mode", "params": {"mode": 1.0, "amplitude": 1}}},
+        )
+        out = tmp_path / "o"
+        assert main(["sample-noise", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        effective = json.loads((out / "effective_config.json").read_text())
+        assert effective["initial"]["params"] == {"mode": 1, "amplitude": 1.0, "length": 1.0}
 
     def test_missing_family_rejected(self, tmp_path):
         cfg = write_config(
@@ -343,6 +401,28 @@ class TestVerify:
         assert effective["coefficients"]["drift"]["params"]["length"] == 2.0
         assert effective["coefficients"]["drift"]["params"]["u_slope"] == 0.0
         assert effective["initial"]["params"]["length"] == 2.0
+
+    @pytest.mark.parametrize(
+        "params, extra, declared",
+        [
+            ({"length": 0.5}, {}, False),
+            ({"length": 0.5}, {"monotone_in_u": True}, True),
+            ({"length": 0.5, "u_slope": 0.0}, {}, True),
+            ({}, {}, True),
+        ],
+        ids=["shorter-than-domain", "explicit-override", "ignores-u", "whole-domain"],
+    )
+    def test_sine_modulated_monotone_only_on_its_length(self, params, extra, declared):
+        # with length 0.5 the sine is negative on (0.5, 1), where
+        # f = sin(pi x / 0.5) * (1 + u) decreases in u
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["coefficients"]["noise_coef"] = {
+            "family": "sine_modulated",
+            "params": dict({"amplitude": 1.0, "mode": 1, "u_slope": 1.0}, **params),
+            **extra,
+        }
+        noise_coef = RunConfig.parse(raw).problem.noise_coef
+        assert noise_coef.monotone_in_u is declared
 
     def test_effective_config_echoed_with_defaults(self, tmp_path):
         cfg = write_config(

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stableheat.errors import AccuracyError, DeltaSingularityError, ParameterError
-from stableheat.kernel import KernelEvaluator
+from stableheat.kernel import KernelEvaluator, _image_count_limits
 
 
 def series_oracle(t, x, y, L=1.0, n_max=60):
@@ -81,6 +83,19 @@ class TestPointwise:
         # same t is fine via the image representation
         assert KernelEvaluator(1.0, method="image_sum").eval(1e-4, 0.5, 0.5) > 0
 
+    def test_accuracy_guard_on_batches(self):
+        # one uncertifiable t fails the whole batch, whatever its position
+        starved = KernelEvaluator(1.0, method="spectral", spectral_modes=4)
+        assert np.all(starved.eval(np.array([0.5, 0.3]), 0.5, 0.5) > 0)
+        with pytest.raises(AccuracyError):
+            starved.eval(np.array([0.5, 1e-4, 0.3]), 0.5, 0.5)
+        few_images = KernelEvaluator(1.0, method="image_sum", image_terms=1)
+        assert np.all(few_images.eval(np.array([0.01, 0.05]), 0.3, 0.6) > 0)
+        with pytest.raises(AccuracyError):
+            few_images.eval(np.array([0.01, 5.0, 0.05]), 0.3, 0.6)
+        with pytest.raises(AccuracyError):
+            few_images.eval(np.array([[0.01], [0.5]]), np.linspace(0, 1, 5), 0.6)
+
     def test_crossover_continuity(self):
         ke = KernelEvaluator(1.0)
         t_c = ke.crossover_time
@@ -95,6 +110,105 @@ class TestPointwise:
             KernelEvaluator(1.0, method="fourier")
         with pytest.raises(ParameterError):
             KernelEvaluator(1.0, abs_tol=0.0)
+
+
+def full_image_sum(t, x, y, L, terms=8):
+    """All 2*terms+1 images, term by term in plain floats."""
+    total = sum(
+        math.exp(-((y - x + 2 * k * L) ** 2) / (2 * t))
+        - math.exp(-((y + x + 2 * k * L) ** 2) / (2 * t))
+        for k in range(-terms, terms + 1)
+    )
+    scale = sum(
+        math.exp(-((y - x + 2 * k * L) ** 2) / (2 * t))
+        + math.exp(-((y + x + 2 * k * L) ** 2) / (2 * t))
+        for k in range(-terms, terms + 1)
+    )
+    norm = math.sqrt(2 * math.pi * t)
+    return total / norm, scale / norm
+
+
+LENGTHS = st.floats(0.5, 3.0)
+UNIT = st.floats(0.0, 1.0)
+
+
+class TestImageCount:
+    def test_three_images_at_solver_lags(self):
+        # the lags of a 4-step window at dt = 1/64 on the unit interval
+        ke = KernelEvaluator(1.0)
+        lags = np.linspace(1e-4, 1.0 / 16.0, 50)
+        assert np.all(ke._image_counts(lags) == 1)
+        assert ke.image_tail_bound(1.0 / 16.0, 1) <= 1e-3 * ke.abs_tol
+
+    def test_limits_certify_their_count(self):
+        for L in (0.5, 1.0, 2.0):
+            ke = KernelEvaluator(L)
+            limits = np.array(_image_count_limits(ke))
+            assert np.all(np.diff(limits) >= 0.0)
+            assert np.all(limits <= ke.crossover_time)
+            for m, t in enumerate(limits, start=1):
+                assert ke.image_tail_bound(t, m) <= 1e-3 * ke.abs_tol
+                below, above = ke._image_counts(np.array([t, math.nextafter(t, math.inf)]))
+                assert below <= m < above
+
+    @settings(max_examples=200, deadline=None)
+    @given(L=LENGTHS, t_frac=st.floats(1e-4, 1.0, exclude_max=True), x=UNIT, y=UNIT)
+    def test_own_count_within_its_bound_of_all_images(self, L, t_frac, x, y):
+        ke = KernelEvaluator(L)
+        t, x, y = t_frac * ke.crossover_time, x * L, y * L
+        (m,) = ke._image_counts(np.array([t]))
+        assert 1 <= m <= ke.image_terms
+        bound = ke.image_tail_bound(t, int(m))
+        if m < ke.image_terms:
+            assert bound <= 1e-3 * ke.abs_tol
+        full, scale = full_image_sum(t, x, y, L)
+        rounding = 64 * np.finfo(float).eps * scale
+        assert abs(ke.eval(t, x, y) - full) <= bound + rounding
+
+
+def straddling_times(ke, data):
+    """Times on both sides of each image-count limit and of the crossover."""
+    edges = list(_image_count_limits(ke)[:2]) + [ke.crossover_time]
+    near = [
+        e * (1.0 + side * data.draw(st.floats(1e-12, 1e-3)))
+        for e in edges
+        for side in (-1.0, 1.0)
+    ]
+    spread = data.draw(st.lists(st.floats(1e-4, 2.0), min_size=1, max_size=6))
+    return np.array(near + [f * ke.crossover_time for f in spread])
+
+
+class TestBatchedEval:
+    @settings(max_examples=60, deadline=None)
+    @given(L=LENGTHS, method=st.sampled_from(["auto", "image_sum"]), data=st.data())
+    def test_batch_equals_scalar_bitwise(self, L, method, data):
+        ke = KernelEvaluator(L, method=method)
+        ts = straddling_times(ke, data)
+        n = ts.size
+        xs = np.array(data.draw(st.lists(UNIT, min_size=n, max_size=n))) * L
+        ys = np.array(data.draw(st.lists(UNIT, min_size=n, max_size=n))) * L
+        ys[0] = L  # a boundary point rides along
+        batch = ke.eval(ts, xs, ys)
+        for i in range(n):
+            assert batch[i] == ke.eval(float(ts[i]), float(xs[i]), float(ys[i]))
+        # rows against a grid: each row equals its own one-t call
+        grid = np.linspace(0.0, L, 9)
+        rows = ke.eval(ts[:, None], xs[:, None], grid)
+        for i in range(n):
+            assert rows[i].tobytes() == ke.eval(float(ts[i]), float(xs[i]), grid).tobytes()
+        assert ts.min() < ke.crossover_time < ts.max()
+
+    def test_empty_batch(self):
+        ke = KernelEvaluator(1.0)
+        assert ke.eval(np.empty(0), 0.5, 0.5).shape == (0,)
+        assert ke.eval(np.empty((0, 1)), 0.5, np.linspace(0, 1, 4)).shape == (0, 4)
+
+    def test_rejects_non_positive_time_in_batch(self):
+        ke = KernelEvaluator(1.0)
+        with pytest.raises(DeltaSingularityError):
+            ke.eval(np.array([0.1, 0.0]), 0.5, 0.5)
+        with pytest.raises(ParameterError):
+            ke.eval(np.array([0.1, -0.2]), 0.5, 0.5)
 
 
 class TestConvolve:

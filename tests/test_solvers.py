@@ -14,6 +14,7 @@ from stableheat.coefficients import (
     sine_modulated,
     zero,
 )
+from stableheat import solvers
 from stableheat.errors import BlowUpError, HypothesisError, ParameterError
 from stableheat.kernel import KernelEvaluator
 from stableheat.noise import (
@@ -174,6 +175,53 @@ def picard_sweep(problem, noise, window, targets, u_left):
     return new_targets, new_left
 
 
+def per_jump_window(problem, noise, window):
+    """The causal march of one window with one kernel call per value.
+
+    The order of every floating-point operation is that of
+    ``_solve_window``, which builds the same kernel values in batches.
+    """
+    ke, x_all, y_q, w_q = window.ke, window.x_all, window.y_q, window.w_q
+    kmats, a, w, dt = window.kmats, window.a, window.w, window.dt
+    v_a_q, gauss_rows = window.v_a_q, window.gauss_rows
+    jt, jx, jz = window.jumps
+    n_q = y_q.size
+    t_targets = a + dt * np.arange(1, w + 1)
+
+    def row_apply(lag, x_pt, vec_q):
+        if lag < _LAG_MIN_FACTOR * (w_q * w_q):
+            return float(np.interp(x_pt, y_q, vec_q))
+        return float((ke.eval(lag, float(x_pt), y_q) * w_q) @ vec_q)
+
+    targets = (kmats[:w].reshape(-1, n_q) @ v_a_q).reshape(w, -1)
+    h = np.empty((w, n_q))
+    u_left, kick = np.empty(jt.size), np.empty(jt.size)
+    l = 0
+    for j in range(w):
+        u_j = v_a_q if j == 0 else targets[j - 1, -n_q:]
+        h[j] = _integrand_column(
+            problem, noise.compensator_mu, a + j * dt, y_q, u_j,
+            None if gauss_rows is None else gauss_rows[j],
+        )
+        targets[j:] += dt * (kmats[: w - j].reshape(-1, n_q) @ h[j]).reshape(w - j, -1)
+        while l < jt.size and jt[l] <= t_targets[j]:
+            val = row_apply(jt[l] - a, jx[l], v_a_q)
+            for k in range(j + 1):
+                s_k = a + k * dt
+                weight = min(a + (k + 1) * dt, jt[l]) - s_k
+                val += weight * row_apply(jt[l] - s_k, jx[l], h[k])
+            for k in range(l):
+                if jt[l] > jt[k]:
+                    val += float(ke.eval(jt[l] - jt[k], jx[l], jx[k])) * kick[k]
+            u_left[l] = val
+            kick[l] = float(problem.noise_coef.evaluate(jt[l], jx[l], val)) * jz[l]
+            for i in range(j, w):
+                lag = max(t_targets[i] - jt[l], 1e-18)
+                targets[i] += ke.eval(lag, x_all, jx[l]) * kick[l]
+            l += 1
+    return targets, u_left
+
+
 class TestMildDeterministicOracles:
     def test_pure_heat_flow(self):
         # analytic: u = exp(-pi^2 t / 2) sin(pi x)
@@ -260,6 +308,86 @@ class TestMildContracts:
                         assert np.all(np.abs(sweep_left - u_left) <= 1e-13)
                         checked_jumps += u_left.size
         assert checked_jumps > 0
+
+    def test_batched_window_equals_per_jump_march(self):
+        # one kernel call per value, in the same order of operations:
+        # the batches must change no bit of any target or left limit
+        trunc = TruncationSpec(1.0, 0.05, True)
+        cases = [
+            make_problem(drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0)),
+            make_problem(
+                drift=affine(0.3, 5.0), noise_coef=clipped_linear(0.4, 2.0),
+                params=ASYM, trunc=trunc,
+            ),
+        ]
+        jumps_seen = 0
+        for prob in cases:
+            for seed in (5, 6):
+                noise = sample_noise(prob.params, prob.trunc, DOM, seed)
+                for grid in (GridSpec(8, 8), GridSpec(16, 8), GridSpec(32, 16)):
+                    _, windows = march_windows(prob, noise, grid)
+                    for window, targets, u_left in windows:
+                        ref_targets, ref_left = per_jump_window(prob, noise, window)
+                        assert targets.tobytes() == ref_targets.tobytes()
+                        assert u_left.tobytes() == ref_left.tobytes()
+                        jumps_seen += u_left.size
+        assert jumps_seen > 100
+
+    def test_kernel_calls_per_window(self, monkeypatch):
+        # the window builds its kernel values in at most one call per kind
+        # (jump rows, jump-jump values, jump-to-target columns); a fallback
+        # to per-jump calls makes hundreds
+        calls = []
+        eval_orig, window_orig = KernelEvaluator.eval, solvers._solve_window
+
+        def counting_eval(self, *args):
+            calls.append(1)
+            return eval_orig(self, *args)
+
+        per_window = []
+
+        def counting_window(*args):
+            calls.clear()
+            out = window_orig(*args)
+            per_window.append((len(calls), out[1].size))
+            return out
+
+        monkeypatch.setattr(KernelEvaluator, "eval", counting_eval)
+        monkeypatch.setattr(solvers, "_solve_window", counting_window)
+        trunc = TruncationSpec(1.0, 0.01)
+        prob = make_problem(
+            drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0), trunc=trunc
+        )
+        solve_mild(prob, sample_noise(SYM, trunc, DOM, 3), GridSpec(16, 8))
+        assert len(per_window) == 4
+        assert min(jumps for _, jumps in per_window) >= 10
+        assert max(n for n, _ in per_window) <= 3
+
+    def test_former_image_sum_within_1e15(self, monkeypatch):
+        # the image sum as it was before each value summed only its own
+        # certified image count: all 2*image_terms+1 shifts at every lag,
+        # reduced in numpy's own order; no grid value moves by over 1e-15
+        def former_image_sum(self, t, x, y):
+            k = np.arange(-self.image_terms, self.image_terms + 1)
+            shifts = (2.0 * self.length_L * k).reshape((-1,) + (1,) * t.ndim)
+            diff = y - x + shifts
+            summ = y + x + shifts
+            val = np.exp(-diff * diff / (2.0 * t)) - np.exp(-summ * summ / (2.0 * t))
+            return val.sum(axis=0) / np.sqrt(2.0 * math.pi * t)
+
+        prob = make_problem(drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0))
+        moved = []
+        for seed in (1, 2):
+            noise = sample_noise(SYM, TRUNC, DOM, seed)
+            for grid in (GridSpec(16, 8), GridSpec(64, 32)):
+                monkeypatch.setattr(solvers, "_lag_matrix_cache", {})
+                now = solve_mild(prob, noise, grid).values
+                with monkeypatch.context() as patch:
+                    patch.setattr(solvers, "_lag_matrix_cache", {})
+                    patch.setattr(KernelEvaluator, "_eval_image", former_image_sum)
+                    former = solve_mild(prob, noise, grid).values
+                moved.append(np.max(np.abs(now - former)))
+        assert 0.0 < max(moved) <= 1e-15
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
