@@ -1,17 +1,20 @@
 """Alternating before/after runs of perfbench, summarized into a BENCH file.
 
     python3 scripts/bench_pairs.py --before <parent checkout> --after <checkout> \
-        --pairs 10 --seed 11 --out BENCH_1.json [--claim verify-desk:wall_s]
+        --pairs 10 --seed 11 --out BENCH_2.json [--claim verify-desk:wall_s ...]
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout on
 every workload, with the same seed (``--seed`` plus the pair index); even
 pairs run the before side first, odd pairs the after side.  Each side's
 end-to-end metrics are summarized by their median and quartiles, and each
 pair is a win, a loss or a tie for the after side in the metric's better
-direction.  A claim holds when the after side wins at least nine tenths of
-the pairs and the medians differ by more than the before side's
-interquartile range.  One traced run (``--trace 1``) per side and traced
-workload adds the per-layer metrics named by ``--traced``.
+direction.  Every end-to-end metric is ``within_bound`` when the after
+median is worse than the before median by at most the metric's relative
+``bound`` in ``BENCHMARK.json``.  A claim, made only with ``--claim``,
+holds when the after side wins at least nine tenths of the pairs and the
+medians differ by more than the before side's interquartile range.  One
+traced run (``--trace 1``) per side and traced workload adds the
+per-layer metrics named by ``--traced``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def compare(before: list, after: list, better: str) -> dict:
+def compare(before: list, after: list, better: str, bound: float) -> dict:
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
     losses = sum(sign * (a - b) < 0 for b, a in zip(before, after))
@@ -52,9 +55,11 @@ def compare(before: list, after: list, better: str) -> dict:
         "before": b,
         "after": a,
         "better": better,
+        "bound": bound,
         "wins": wins,
         "losses": losses,
         "pairs": len(before),
+        "within_bound": sign * (a["median"] - b["median"]) >= -bound * abs(b["median"]),
         "gain_holds": wins >= 0.9 * len(before)
         and sign * (a["median"] - b["median"]) > b["q3"] - b["q1"],
     }
@@ -70,12 +75,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
     parser.add_argument("--traced", nargs="*", default=["verify-desk:kernel.eval_calls",
                                                         "verify-desk:kernel.eval_s"])
-    parser.add_argument("--claim", nargs="*", default=["verify-desk:wall_s"])
+    parser.add_argument("--claim", nargs="*", default=[])
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     bench = json.loads((args.after / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    bound = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
     runs = {w: {"before": [], "after": []} for w in args.workloads}
     for i in range(args.pairs):
@@ -98,7 +104,7 @@ def main(argv=None) -> int:
         correct = all(r["correct"] for side in by_side.values() for r in side)
         metrics = {
             name: compare(*([r["metrics"][name]["value"] for r in by_side[s]]
-                            for s in ("before", "after")), better[name])
+                            for s in ("before", "after")), better[name], bound[name])
             for name in by_side["after"][0]["metrics"]
         }
         report["workloads"][workload] = {"all_correct": correct, "end_to_end": metrics}
@@ -120,8 +126,13 @@ def main(argv=None) -> int:
     for item in args.claim:
         workload, name = item.split(":")
         report["claims"][item] = report["workloads"][workload]["end_to_end"][name]["gain_holds"]
+    report["within_bounds"] = {
+        f"{workload}:{name}": metric["within_bound"]
+        for workload, entry in report["workloads"].items()
+        for name, metric in entry.get("end_to_end", {}).items()
+    }
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(report["claims"]))
+    print(json.dumps({"claims": report["claims"], "within_bounds": report["within_bounds"]}))
     return 0
 
 

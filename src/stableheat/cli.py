@@ -355,27 +355,23 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     realization = sample_noise(
         cfg.problem.params, cfg.problem.trunc, cfg.problem.dom, cfg.master_seed
     )
+    solvers = {
+        "mild": lambda: solve_mild(
+            cfg.problem, realization, cfg.grid, window_steps=cfg.solver_window_steps
+        ),
+        "galerkin": lambda: spectral_to_grid(
+            solve_galerkin(cfg.problem, realization, cfg.solver_modes, cfg.grid), cfg.grid
+        ),
+    }
     written = {}
-    if cfg.solver_method in ("mild", "both"):
-        sol = solve_mild(
-            cfg.problem,
-            realization,
-            cfg.grid,
-            window_steps=cfg.solver_window_steps,
-        )
-        sol.save_csv(os.path.join(sol_dir, "mild.csv"))
+    for name, solve in solvers.items():
+        if cfg.solver_method not in (name, "both"):
+            continue
+        sol = written[name] = solve()
+        sol.save_csv(os.path.join(sol_dir, f"{name}.csv"))
         meta = sol.metadata()
         meta.update({"config_hash": _config_hash(cfg), "seed": cfg.master_seed})
-        _write_json(os.path.join(sol_dir, "mild.meta.json"), meta)
-        written["mild"] = sol
-    if cfg.solver_method in ("galerkin", "both"):
-        spectral = solve_galerkin(cfg.problem, realization, cfg.solver_modes, cfg.grid)
-        sol = spectral_to_grid(spectral, cfg.grid)
-        sol.save_csv(os.path.join(sol_dir, "galerkin.csv"))
-        meta = sol.metadata()
-        meta.update({"config_hash": _config_hash(cfg), "seed": cfg.master_seed})
-        _write_json(os.path.join(sol_dir, "galerkin.meta.json"), meta)
-        written["galerkin"] = sol
+        _write_json(os.path.join(sol_dir, f"{name}.meta.json"), meta)
     if cfg.solver_method == "both":
         mild, galerkin = written["mild"], written["galerkin"]
         diff = np.abs(mild.values - galerkin.values)

@@ -216,6 +216,7 @@ COEFFICIENT_FAMILIES = {
         shifted,
         lambda p, t, x, u: np.asarray(p["base"].evaluate(t, x, u)) + p["delta"],
         lambda p: p["base"].vanishes_at_zero_state() and p["delta"] == 0.0,
+        lambda p: COEFFICIENT_FAMILIES[p["base"].family].u_edges(p["base"].params),
     ),
 }
 

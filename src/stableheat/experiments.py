@@ -32,7 +32,7 @@ from .coefficients import (
     validate_hypothesis,
     zero,
 )
-from .errors import HypothesisError, ParameterError
+from .errors import HypothesisError, ParameterError, StableHeatError
 from .noise import (
     NoiseRealization,
     SpaceTimeDomain,
@@ -87,13 +87,23 @@ def _json_safe(obj):
     return obj
 
 
-def _map_paths(worker, n_paths: int, threads: int) -> list:
+def _map_paths(worker, n_paths: int, threads: int, where: str) -> list:
+    """[worker(i) for i in range(n_paths)] on ``threads`` workers; a package
+    error of item i gets ``f"{where} {i}: "`` in front of its message."""
     if n_paths < 1:
         raise ParameterError("experiment needs n_paths >= 1")
+
+    def located(i):
+        try:
+            return worker(i)
+        except StableHeatError as exc:
+            exc.args = (f"{where} {i}: {exc}",)
+            raise
+
     if threads <= 1:
-        return [worker(i) for i in range(n_paths)]
+        return [located(i) for i in range(n_paths)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(n_paths)))
+        return list(pool.map(located, range(n_paths)))
 
 
 @dataclass
@@ -185,9 +195,7 @@ def positive_part_energy(w, dx: float) -> float:
     Strictly positive node weights make the value vanish exactly when
     w <= 0 at every node.
     """
-    wp = np.maximum(np.asarray(w, dtype=float), 0.0) ** 2
-    val = dx * (0.5 * wp[0] + wp[1:-1].sum() + 0.5 * wp[-1])
-    return float(val)
+    return grid_lp_norm_p(np.maximum(np.asarray(w, dtype=float), 0.0), dx, 2.0)
 
 
 # -- tolerance calibration ------------------------------------------------
@@ -267,7 +275,7 @@ def run_stopping_law(
         r = sample_noise(params, trunc, dom, path_seed(seed, i))
         return 1.0 if stopping_time(r, K) > dom.horizon_T else 0.0
 
-    survived = _map_paths(worker, n_paths, threads)
+    survived = _map_paths(worker, n_paths, threads, "stopping_law path")
     est = float(np.mean(survived))
     sigma = math.sqrt(max(est * (1.0 - est), target * (1.0 - target)) / n_paths)
     ci = (est - 3.0 * sigma, est + 3.0 * sigma)
@@ -370,7 +378,7 @@ def run_comparison(
         energy = max(positive_part_energy(row, dx) for row in diff)
         return viol, energy
 
-    results = _map_paths(worker, n_paths, threads)
+    results = _map_paths(worker, n_paths, threads, "comparison path")
     violations = [r[0] for r in results]
     energies = [r[1] for r in results]
     max_viol = float(np.max(violations))
@@ -442,7 +450,7 @@ def run_nonnegativity(
         exact_zero = bool(np.all(u.values == 0.0)) if zero_case else False
         return float(u.values.min()), exact_zero
 
-    results = _map_paths(worker, n_paths, threads)
+    results = _map_paths(worker, n_paths, threads, "nonnegativity path")
     minima = [r[0] for r in results]
     min_all = float(np.min(minima))
     passed = min_all >= -tol
@@ -502,7 +510,8 @@ def run_consistency(
     T = problem.dom.horizon_T
     dt = grid.dt(T)
 
-    def one_path(seed_i: int):
+    def one_path(i: int):
+        seed_i = noise_seed if n_paths == 1 else path_seed(noise_seed, i)
         rn = sample_noise(problem.params, trunc, problem.dom, seed_i)
         r_small = noise_mod.restrict(rn, K_small)
         r_large = noise_mod.restrict(rn, K_large)
@@ -528,12 +537,7 @@ def run_consistency(
         vacuous = i_max == 0
         return diff / scale, vacuous, math.inf if math.isinf(r_stop) else r_stop
 
-    seeds = (
-        [noise_seed]
-        if n_paths == 1
-        else [path_seed(noise_seed, i) for i in range(n_paths)]
-    )
-    results = [one_path(s) for s in seeds]
+    results = _map_paths(one_path, n_paths, 1, "consistency path")
     rels = [r[0] for r in results]
     vacuous_count = sum(1 for r in results if r[1])
     max_rel = float(np.max(rels))
@@ -549,7 +553,7 @@ def run_consistency(
             "grid": (grid.n_t, grid.n_x),
             "n_paths": n_paths,
         },
-        n_paths=len(seeds),
+        n_paths=n_paths,
         estimates={
             "max_relative_sup_difference": max_rel,
             "vacuous_paths": float(vacuous_count),
@@ -593,7 +597,10 @@ def run_galerkin_convergence(
         )
     problem.validate()
     rn = sample_noise(problem.params, problem.trunc, problem.dom, noise_seed)
-    mild = solve_mild(problem, rn, grid, window_steps=window_steps)
+    (mild,) = _map_paths(
+        lambda i: solve_mild(problem, rn, grid, window_steps=window_steps),
+        1, 1, "galerkin_convergence path",
+    )
     dx = grid.dx(problem.dom.length_L)
 
     def worker(idx: int) -> float:
@@ -606,7 +613,7 @@ def run_galerkin_convergence(
             )
         )
 
-    errors = _map_paths(worker, len(m_list), threads)
+    errors = _map_paths(worker, len(m_list), threads, "galerkin_convergence m_list entry")
     non_increasing = all(
         e_next <= 1.05 * e_prev for e_prev, e_next in zip(errors, errors[1:])
     )
@@ -659,7 +666,7 @@ def run_moment_estimate(
         u = solve_mild(problem, rn, grid, window_steps=window_steps)
         return np.array([grid_lp_norm_p(row, dx, p) for row in u.values])
 
-    norms = np.stack(_map_paths(worker, 2 * n_paths, threads))
+    norms = np.stack(_map_paths(worker, 2 * n_paths, threads, "moment_estimate path"))
     mean_half = norms[:n_paths].mean(axis=0)
     mean_full = norms.mean(axis=0)
     est_half = float(mean_half.max())

@@ -18,7 +18,7 @@ certified analytically at every call: evaluations whose truncation
 bound exceeds ``abs_tol`` raise instead of silently degrading.
 
 Each image-sum value sums only its own image count M(t): the smallest
-M <= ``image_terms`` whose tail bound is within ``_IMAGE_TAIL_FRACTION``
+M <= ``image_terms`` whose tail bound is within ``_TAIL_FRACTION``
 of ``abs_tol`` (three images at the lags the solvers use).  Below the
 crossover the tail bound grows with t, so M(t) is a step function whose
 limits are bisected once per evaluator configuration.
@@ -31,6 +31,9 @@ the batch around it: the batch is evaluated at its largest image count,
 the shifts beyond an element's own count are exact zeros, and terms are
 summed in order along one axis, so a batched value equals the scalar
 one bitwise.
+
+A solver propagating in N sine modes takes N from ``propagator_modes``,
+certified like M(t) at its shortest lag and so at every longer one.
 
 At t = 0 the kernel is a delta distribution; pointwise evaluation is
 refused and :meth:`KernelEvaluator.convolve` implements the identity.
@@ -56,9 +59,10 @@ __all__ = ["KernelEvaluator"]
 
 _METHODS = ("auto", "image_sum", "spectral")
 
-# An image sum stops at the first image count whose tail bound is within
-# this fraction of abs_tol; only image_terms itself is held to abs_tol.
-_IMAGE_TAIL_FRACTION = 1e-3
+# An image sum stops at the first image count, and a solver's sine
+# propagator at the first mode count, whose tail bound is within this
+# fraction of abs_tol; only image_terms itself is held to abs_tol.
+_TAIL_FRACTION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -104,9 +108,10 @@ class KernelEvaluator:
                 break
         return total / math.sqrt(2.0 * math.pi * t)
 
-    def spectral_tail_bound(self, t: float) -> float:
-        """Upper bound on the dropped n > spectral_modes series terms."""
-        L, N = self.length_L, self.spectral_modes
+    def spectral_tail_bound(self, t: float, N: int | None = None) -> float:
+        """Upper bound on the dropped n > N series terms (N = spectral_modes by default)."""
+        L = self.length_L
+        N = self.spectral_modes if N is None else N
         rate = math.pi ** 2 * t / (2.0 * L ** 2)
         total = 0.0
         for n in range(N + 1, N + 400):
@@ -114,7 +119,18 @@ class KernelEvaluator:
             total += term
             if term < 1e-300:
                 break
+        else:  # the terms beyond n sum to at most the integral of exp(-rate s^2) from n
+            total += 0.5 * math.sqrt(math.pi / rate) * math.erfc(n * math.sqrt(rate))
         return 2.0 / L * total
+
+    def propagator_modes(self, t_min: float) -> int:
+        """Fewest series modes whose tail bound at t_min, and so at every
+        later t, is within ``_TAIL_FRACTION`` of ``abs_tol``."""
+        target = _TAIL_FRACTION * self.abs_tol
+        N = 1
+        while self.spectral_tail_bound(t_min, N) > target:
+            N += 1
+        return N
 
     def _image_counts(self, t: np.ndarray) -> np.ndarray:
         """The certified image count M(t) of each element of t."""
@@ -281,7 +297,7 @@ def _image_count_limits(ke: KernelEvaluator) -> tuple:
     images hold the bound at every t where fewer do, so the bisections
     part ways in order and the limits come out sorted.
     """
-    target = _IMAGE_TAIL_FRACTION * ke.abs_tol
+    target = _TAIL_FRACTION * ke.abs_tol
     limits = []
     for m in range(1, ke.image_terms):
         lo, hi = 0.0, ke.crossover_time

@@ -4,8 +4,11 @@
 successive time windows.  Within a window the map is strictly causal:
 drift integrals use left-endpoint quadrature on the grid times, and each
 jump reads the state at its own left limit, so the discretized map is
-strictly lower triangular in event order.  Two consequences are
-exploited deliberately:
+strictly lower triangular in event order.  Grid sources reach later grid
+times in N sine modes, where G_t is diagonal and N is certified by the
+kernel's series tail bound at one step; jump terms, whose lags can be
+shorter, stay on the kernel's image sum.  Two consequences of causality
+are exploited deliberately:
 
 * one forward pass in time order computes the exact fixed point of the
   map, with no iteration and no tolerance (the cross-cutoff consistency
@@ -180,6 +183,11 @@ def _basis_matrix(x: np.ndarray, m: int, length_L: float) -> np.ndarray:
     )
 
 
+def _mode_rates(m: int, length_L: float) -> np.ndarray:
+    """Rates (n pi / L)^2 / 2 at which G_t damps the first m sine modes."""
+    return (np.arange(1, m + 1) * math.pi / length_L) ** 2 / 2.0
+
+
 def grid_h_norm(row: np.ndarray, dx: float) -> float:
     """Trapezoid L2 norm of grid-node values."""
     sq = np.asarray(row, float) ** 2
@@ -194,36 +202,17 @@ def grid_lp_norm_p(row: np.ndarray, dx: float, p: float) -> float:
 
 # -- mild-form causal-march solver ----------------------------------------
 
-_lag_matrix_cache: dict = {}
-
-
-def _lag_matrices(
-    ke: KernelEvaluator,
-    x_all: np.ndarray,
-    y_q: np.ndarray,
-    w_q: float,
-    dt: float,
-    max_lag: int,
-) -> np.ndarray:
-    """Kernel application matrices at lags dt..max_lag*dt (quadrature folded in).
-
-    Shape (max_lag, len(x_all), len(y_q)); ``mats[:k].reshape(-1, len(y_q))``
-    applies the first k lags to one source column in a single product.
-    """
-    key = (ke, x_all.size, y_q.size, repr(dt), max_lag)
-    hit = _lag_matrix_cache.get(key)
-    if hit is not None:
-        return hit
-    mats = np.stack(
-        [
-            ke.eval(k * dt, x_all[:, None], y_q[None, :]) * w_q
-            for k in range(1, max_lag + 1)
-        ]
-    )
-    if len(_lag_matrix_cache) > 8:
-        _lag_matrix_cache.clear()
-    _lag_matrix_cache[key] = mats
-    return mats
+def _sine_factors(ke, x_all, y_q, w_q, dt, max_lag):
+    """(basis, proj, decay): G_(k*dt) applied to a source column h on y_q and
+    read on x_all is ``(decay[k-1] * (proj @ h)) @ basis.T`` for k = 1..max_lag,
+    in the N modes the kernel certifies at the shortest lag, dt."""
+    L = ke.length_L
+    N = ke.propagator_modes(dt)
+    basis = _basis_matrix(x_all, N, L)
+    basis[(x_all == 0.0) | (x_all == L)] = 0.0  # G vanishes on the boundary
+    proj = _basis_matrix(y_q, N, L).T * w_q
+    decay = np.exp(-np.arange(1, max_lag + 1)[:, None] * dt * _mode_rates(N, L))
+    return basis, proj, decay
 
 
 def _integrand_column(problem, mu, s, y_q, u, gauss_row):
@@ -275,28 +264,18 @@ def _jump_kernels(ke, x_all, y_q, w_q, src_times, t_targets, jt, jx, lag_min):
 
 
 def _solve_window(
-    problem,
-    noise,
-    ke,
-    x_all,
-    y_q,
-    w_q,
-    kmats,
-    a_idx,
-    w,
-    dt,
-    v_a_q,
-    jumps,
-    gauss_rows,
+    problem, noise, ke, x_all, y_q, w_q, factors, a_idx, w, dt, v_a_q, jumps, gauss_rows
 ):
     """The mild map on one window of w grid steps, solved in one causal pass.
 
-    ``jumps`` holds the window's time-sorted jumps in (a, a + w*dt].
-    Returns (targets, u_left): targets has shape (w, len(x_all)) and
-    u_left holds the state at each jump's left limit.
+    ``jumps`` holds the window's time-sorted jumps in (a, a + w*dt] and
+    ``factors`` the sine propagator of ``_sine_factors``.  Returns
+    (targets, u_left): targets has shape (w, len(x_all)) and u_left holds
+    the state at each jump's left limit.
     """
     a = a_idx * dt
     n_q = y_q.size
+    basis, proj, decay = factors
     lag_min = _LAG_MIN_FACTOR * (w_q * w_q)
     mu = noise.compensator_mu
     jt, jx, jz = jumps
@@ -320,7 +299,7 @@ def _solve_window(
         return float(rows[l, k] @ vec_q)
 
     # Propagation of the window-initial state to every target time.
-    targets = (kmats[:w].reshape(-1, n_q) @ v_a_q).reshape(w, -1)
+    targets = (decay[:w] * (proj @ v_a_q)) @ basis.T
     h = np.empty((w, n_q))
     u_left = np.empty(n_jump)
     kick = np.empty(n_jump)  # phi(tau-, x, u(tau-)) * z per jump
@@ -334,8 +313,7 @@ def _solve_window(
             None if gauss_rows is None else gauss_rows[j],
         )
         # Source s_j reaches the later targets at lags dt..(w-j)*dt.
-        prop = kmats[: w - j].reshape(-1, n_q) @ h[j]
-        targets[j:] += dt * prop.reshape(w - j, -1)
+        targets[j:] += dt * ((decay[: w - j] * (proj @ h[j])) @ basis.T)
 
         # Jumps in (s_j, s_(j+1)], in time order: each reads v_a, the
         # drift sources s_0..s_j and the earlier jumps of the window.
@@ -356,7 +334,8 @@ def _solve_window(
 
     if not (np.all(np.isfinite(targets)) and np.all(np.isfinite(u_left))):
         raise BlowUpError(
-            f"non-finite state in window starting at t={a:.6g}",
+            f"non-finite state in window ({a:.6g}, {t_targets[-1]:.6g}] of the "
+            f"mild solve, noise seed {noise.seed}",
             path_seed=noise.seed,
         )
     return targets, u_left
@@ -394,7 +373,7 @@ def solve_mild(
     x_out = grid.nodes(L)
     y_q, w_q = ke.quad_nodes(n_q)
     x_all = np.concatenate([x_out, y_q])
-    kmats = _lag_matrices(ke, x_all, y_q, w_q, dt, window_steps)
+    factors = _sine_factors(ke, x_all, y_q, w_q, dt, window_steps)
 
     gauss = None
     if problem.trunc.gaussian_correction:
@@ -402,11 +381,9 @@ def solve_mild(
         # reproduces sum G * phi * dW over the cells of one step.
         gauss = noise.gaussian_increments(n_t, n_q) / (dt * w_q)
 
-    u0_nodes = problem.init.values(x_out)
-    u0_nodes[0] = 0.0
-    u0_nodes[-1] = 0.0
     values = np.empty((n_t + 1, n_x + 1))
-    values[0] = u0_nodes
+    values[0] = problem.init.values(x_out)
+    values[0, [0, -1]] = 0.0
 
     v_a_q = problem.init.values(y_q)
     windows = range(0, n_t, window_steps)
@@ -417,7 +394,7 @@ def solve_mild(
         jumps = (noise.taus[in_window], noise.xs[in_window], noise.zs[in_window])
         gauss_rows = gauss[a_idx : a_idx + w] if gauss is not None else None
         targets, _ = _solve_window(
-            problem, noise, ke, x_all, y_q, w_q, kmats, a_idx, w, dt, v_a_q,
+            problem, noise, ke, x_all, y_q, w_q, factors, a_idx, w, dt, v_a_q,
             jumps, gauss_rows,
         )
         values[a_idx + 1 : a_idx + w + 1] = targets[:, : n_x + 1]
@@ -489,10 +466,9 @@ def solve_galerkin(
         raise ParameterError(
             f"m={m} too large for quadrature resolution n_quad={n_q}"
         )
-    y_q = (np.arange(n_q) + 0.5) * (L / n_q)
-    w_q = L / n_q
+    y_q, w_q = KernelEvaluator(length_L=L).quad_nodes(n_q)
     basis = _basis_matrix(y_q, m, L)  # (n_q, m)
-    rates = (np.arange(1, m + 1) * math.pi / L) ** 2 / 2.0
+    rates = _mode_rates(m, L)
     mu = noise.compensator_mu
     comp_profile = basis @ _basis_integrals(m, L) if mu != 0.0 else None
 
@@ -536,7 +512,8 @@ def solve_galerkin(
         a = advance(a, t_cur, t1 - t_cur, i)
         if not np.all(np.isfinite(a)):
             raise BlowUpError(
-                f"non-finite spectral coefficients at t={t1:.6g}",
+                f"non-finite coefficients in step ({t0:.6g}, {t1:.6g}] of the "
+                f"{m}-mode Galerkin solve, noise seed {noise.seed}",
                 path_seed=noise.seed,
             )
         coeffs[i + 1] = a
@@ -655,7 +632,7 @@ def weak_form_residual(
 
     if problem.trunc.gaussian_correction:
         n_q = 4 * grid.n_x
-        y_q = (np.arange(n_q) + 0.5) * (L / n_q)
+        y_q, _ = KernelEvaluator(length_L=L).quad_nodes(n_q)
         chi_q = np.asarray(chi(y_q), float)
         dW = noise.gaussian_increments(grid.n_t, n_q)
         for i in range(idx):

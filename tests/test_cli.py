@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from stableheat.cli import (
     RunConfig,
     main,
 )
+from stableheat.experiments import path_seed
 
 BASE_CONFIG = {
     "version": 1,
@@ -119,6 +121,32 @@ class TestSolve:
             main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
             == EXIT_NUMERICAL
         )
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("method, where", [
+        ("mild", r"window \([\d.]+, [\d.]+\] of the mild solve"),
+        ("galerkin", r"step \([\d.]+, [\d.]+\] of the 2-mode Galerkin solve"),
+    ], ids=["mild", "galerkin"])
+    def test_blow_up_names_seed_and_time_window(self, tmp_path, capsys, method, where):
+        cfg = write_config(
+            tmp_path,
+            {
+                "coefficients": {
+                    "drift": {"family": "affine", "params": {"a": 0.0, "b": 1e21}},
+                    "noise_coef": {"family": "zero"},
+                },
+                "solver": {"method": method, "modes": 2},
+                "master_seed": 12,
+            },
+        )
+        assert (
+            main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            == EXIT_NUMERICAL
+        )
+        err = capsys.readouterr().err
+        assert re.search(where, err), err
+        assert "noise seed 12" in err
 
     @pytest.mark.parametrize(
         "overrides, where",
@@ -340,6 +368,34 @@ class TestVerify:
             == EXIT_EXPERIMENT
         )
         assert "galerkin_convergence" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("experiment, section, seed", [
+        ("consistency", {"K_small": 0.5, "K_large": 1.0, "n_paths": 3}, path_seed(11, 0)),
+        ("moment_estimate", {"n_paths": 2}, path_seed(11, 0)),
+        ("nonnegativity", {"n_paths": 2, "tol": 1.0}, path_seed(11, 0)),
+        ("galerkin_convergence", {"m_list": [1, 2]}, 11),  # one path, the master seed
+    ], ids=["consistency", "moment_estimate", "nonnegativity", "galerkin_convergence"])
+    def test_blow_up_names_experiment_path_seed_and_window(
+        self, tmp_path, capsys, experiment, section, seed
+    ):
+        cfg = write_config(
+            tmp_path,
+            {
+                "coefficients": {
+                    "drift": {"family": "affine", "params": {"a": 0.0, "b": 1e21}},
+                    "noise_coef": {"family": "zero"},
+                },
+                "experiments": {experiment: section},
+            },
+        )
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert f"{experiment} path 0:" in err, err
+        assert f"noise seed {seed}" in err, err
+        assert re.search(r"window \([\d.]+, [\d.]+\] of the mild solve", err), err
 
     @pytest.mark.parametrize(
         "experiments, where",

@@ -9,13 +9,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stableheat.cli import RunConfig
 from stableheat.coefficients import (
+    _AUDIT_U_RANGE,
     COEFFICIENT_FAMILIES,
     INITIAL_FAMILIES,
+    _u_extremes,
+    affine,
+    clipped_linear,
     dominates,
     shifted,
     validate_hypothesis,
@@ -152,3 +156,55 @@ def test_ordering_gate_sees_a_constant_shift(family, data, length_L, d):
     with pytest.raises(HypothesisError) as err:
         dominates(shifted(g, d), g, x_range=x_range)
     assert 0.0 <= err.value.witness[1] <= length_L
+
+
+# Affine coefficients, shifted or not, and shifted clipped-linear ones:
+# piecewise linear in u, so on a u-grid holding the audit range's ends and
+# every kink the largest excess of f over g is a grid value.
+ORDERED_PAIR_SIDE = st.one_of(
+    st.builds(affine, FINITE, FINITE),
+    st.builds(shifted, st.builds(affine, FINITE, FINITE), FINITE),
+    st.builds(shifted, st.builds(clipped_linear, FINITE, POSITIVE), FINITE),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f=ORDERED_PAIR_SIDE,
+    g=ORDERED_PAIR_SIDE,
+    horizon_T=POSITIVE,
+    length_L=LENGTHS,
+)
+def test_ordering_gate_matches_dense_evaluation(f, g, horizon_T, length_L):
+    t_range, x_range = (0.0, horizon_T), (0.0, length_L)
+    u = np.union1d(
+        np.linspace(*_AUDIT_U_RANGE, 401),
+        np.concatenate([_u_extremes(f), _u_extremes(g)]),
+    )
+    t, x, u = np.meshgrid(
+        np.linspace(*t_range, 5), np.linspace(*x_range, 9), u, indexing="ij"
+    )
+    fv = np.broadcast_to(f.evaluate(t, x, u), u.shape)
+    gv = np.broadcast_to(g.evaluate(t, x, u), u.shape)
+    violated = fv > gv + 1e-12 * (1.0 + np.abs(gv))  # the gate's slack
+    # no violation, or one on a set of non-negligible measure, which the
+    # gate's 10,000 random points cannot all miss
+    assume(not violated.any() or violated.mean() >= 0.01)
+    if violated.any():
+        with pytest.raises(HypothesisError) as err:
+            dominates(f, g, t_range=t_range, x_range=x_range)
+        t_w, x_w, u_w = err.value.witness
+        assert 0.0 <= t_w <= horizon_T and 0.0 <= x_w <= length_L
+        assert f.evaluate(t_w, x_w, u_w) > g.evaluate(t_w, x_w, u_w)
+    else:
+        assert dominates(f, g, t_range=t_range, x_range=x_range).passed
+
+
+def test_ordering_gate_samples_the_kinks_of_a_shifted_base():
+    # f > g exactly on 0 < u < 2e-4, a set no random audit point hits;
+    # the unshifted pair is caught at the kink u = 1e-4 of clipped_linear,
+    # and shifting both by zero must not hide it
+    f, g = clipped_linear(1.0, 1e-4), clipped_linear(0.5, 1e-4)
+    for pair in ((f, g), (shifted(f, 0.0), shifted(g, 0.0))):
+        with pytest.raises(HypothesisError):
+            dominates(*pair)

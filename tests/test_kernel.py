@@ -166,6 +166,23 @@ class TestImageCount:
         assert abs(ke.eval(t, x, y) - full) <= bound + rounding
 
 
+class TestSpectralTail:
+    @pytest.mark.parametrize("t", [1e-6, 1e-4, 1e-2, 1.0])
+    @pytest.mark.parametrize("N", [1, 40, 400])
+    def test_bound_covers_the_whole_tail(self, t, N):
+        # at small t the terms outlast the bound's 399 summed ones, and the
+        # integral remainder must cover the rest
+        L = 1.0
+        ke = KernelEvaluator(L)
+        n = np.arange(N + 1, N + 2_000_001, dtype=float)
+        tail = 2.0 / L * np.exp(-math.pi**2 * t / (2.0 * L**2) * n * n).sum()
+        assert tail * (1.0 - 1e-12) <= ke.spectral_tail_bound(t, N) <= tail * (1.0 + 1e-2) + 1e-300
+
+    def test_default_count_is_spectral_modes(self):
+        ke = KernelEvaluator(1.0, spectral_modes=7)
+        assert ke.spectral_tail_bound(0.01) == ke.spectral_tail_bound(0.01, 7)
+
+
 def straddling_times(ke, data):
     """Times on both sides of each image-count limit and of the crossover."""
     edges = list(_image_count_limits(ke)[:2]) + [ke.crossover_time]

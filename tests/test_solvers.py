@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stableheat.coefficients import (
     affine,
@@ -16,7 +18,7 @@ from stableheat.coefficients import (
 )
 from stableheat import solvers
 from stableheat.errors import BlowUpError, HypothesisError, ParameterError
-from stableheat.kernel import KernelEvaluator
+from stableheat.kernel import _TAIL_FRACTION, KernelEvaluator
 from stableheat.noise import (
     NoiseRealization,
     SpaceTimeDomain,
@@ -39,7 +41,7 @@ from stableheat.solvers import (
     _LAG_MIN_FACTOR,
     _basis_matrix,
     _integrand_column,
-    _lag_matrices,
+    _sine_factors,
     _solve_window,
 )
 
@@ -77,11 +79,20 @@ HEAT_RATE = math.pi**2 / 2.0
 ASYM = StableParams(1.5, 1.0, 0.0)
 
 
+def lag_matrices(ke, x_all, y_q, w_q, dt, max_lag):
+    """G_(k*dt)(x_all, y_q) * w_q from ``ke.eval`` for k = 1..max_lag: the
+    kernel the solver's sine propagator stands in for."""
+    return np.stack(
+        [ke.eval(k * dt, x_all[:, None], y_q[None, :]) * w_q for k in range(1, max_lag + 1)]
+    )
+
+
 def march_windows(problem, noise, grid, window_steps=4):
     """Grid values and a (window, targets, u_left) triple per window.
 
     Repeats solve_mild's set-up and window loop around the private
-    per-window march; ``window`` holds the inputs a Picard sweep needs.
+    per-window march; ``window`` holds the inputs a Picard sweep needs,
+    with the kernel's own lag matrices in place of the sine propagator.
     """
     T, L = problem.dom.horizon_T, problem.dom.length_L
     dt, n_q = grid.dt(T), 4 * grid.n_x
@@ -89,7 +100,8 @@ def march_windows(problem, noise, grid, window_steps=4):
     x_out = grid.nodes(L)
     y_q, w_q = ke.quad_nodes(n_q)
     x_all = np.concatenate([x_out, y_q])
-    kmats = _lag_matrices(ke, x_all, y_q, w_q, dt, window_steps)
+    factors = _sine_factors(ke, x_all, y_q, w_q, dt, window_steps)
+    kmats = lag_matrices(ke, x_all, y_q, w_q, dt, window_steps)
     gauss = None
     if problem.trunc.gaussian_correction:
         gauss = noise.gaussian_increments(grid.n_t, n_q) / (dt * w_q)
@@ -105,13 +117,13 @@ def march_windows(problem, noise, grid, window_steps=4):
         jumps = (noise.taus[keep], noise.xs[keep], noise.zs[keep])
         gauss_rows = None if gauss is None else gauss[a_idx : a_idx + w]
         targets, u_left = _solve_window(
-            problem, noise, ke, x_all, y_q, w_q, kmats, a_idx, w, dt, v_a_q,
+            problem, noise, ke, x_all, y_q, w_q, factors, a_idx, w, dt, v_a_q,
             jumps, gauss_rows,
         )
         values[a_idx + 1 : a_idx + w + 1] = targets[:, : grid.n_x + 1]
         window = SimpleNamespace(
-            ke=ke, x_all=x_all, y_q=y_q, w_q=w_q, kmats=kmats, a=a, w=w, dt=dt,
-            v_a_q=v_a_q, jumps=jumps, gauss_rows=gauss_rows,
+            ke=ke, x_all=x_all, y_q=y_q, w_q=w_q, factors=factors, kmats=kmats,
+            a=a, w=w, dt=dt, v_a_q=v_a_q, jumps=jumps, gauss_rows=gauss_rows,
         )
         windows.append((window, targets, u_left))
         v_a_q = targets[-1, -n_q:]
@@ -179,10 +191,11 @@ def per_jump_window(problem, noise, window):
     """The causal march of one window with one kernel call per value.
 
     The order of every floating-point operation is that of
-    ``_solve_window``, which builds the same kernel values in batches.
+    ``_solve_window``, which builds the same kernel values in batches and
+    propagates the grid sources with the same sine factors.
     """
     ke, x_all, y_q, w_q = window.ke, window.x_all, window.y_q, window.w_q
-    kmats, a, w, dt = window.kmats, window.a, window.w, window.dt
+    (basis, proj, decay), a, w, dt = window.factors, window.a, window.w, window.dt
     v_a_q, gauss_rows = window.v_a_q, window.gauss_rows
     jt, jx, jz = window.jumps
     n_q = y_q.size
@@ -193,7 +206,7 @@ def per_jump_window(problem, noise, window):
             return float(np.interp(x_pt, y_q, vec_q))
         return float((ke.eval(lag, float(x_pt), y_q) * w_q) @ vec_q)
 
-    targets = (kmats[:w].reshape(-1, n_q) @ v_a_q).reshape(w, -1)
+    targets = (decay[:w] * (proj @ v_a_q)) @ basis.T
     h = np.empty((w, n_q))
     u_left, kick = np.empty(jt.size), np.empty(jt.size)
     l = 0
@@ -203,7 +216,7 @@ def per_jump_window(problem, noise, window):
             problem, noise.compensator_mu, a + j * dt, y_q, u_j,
             None if gauss_rows is None else gauss_rows[j],
         )
-        targets[j:] += dt * (kmats[: w - j].reshape(-1, n_q) @ h[j]).reshape(w - j, -1)
+        targets[j:] += dt * ((decay[: w - j] * (proj @ h[j])) @ basis.T)
         while l < jt.size and jt[l] <= t_targets[j]:
             val = row_apply(jt[l] - a, jx[l], v_a_q)
             for k in range(j + 1):
@@ -253,6 +266,49 @@ class TestMildDeterministicOracles:
             conv_only.values + heat_only.values,
             atol=1e-10,
         )
+
+
+class TestSineFactors:
+    """The sine propagator of the mild solver's grid lags against the
+    kernel it stands in for."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        L=st.floats(0.5, 3.0),
+        dt=st.floats(1e-3, 0.25),
+        n_x=st.integers(2, 64),
+        max_lag=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1e-3, 1e3),
+    )
+    def test_certified_modes_match_the_kernel(self, L, dt, n_x, max_lag, seed, scale):
+        ke = KernelEvaluator(length_L=L)
+        target = _TAIL_FRACTION * ke.abs_tol
+        N = ke.propagator_modes(dt)
+        # the fewest modes that hold the bound at the shortest lag
+        assert ke.spectral_tail_bound(dt, N) <= target
+        assert N == 1 or ke.spectral_tail_bound(dt, N - 1) > target
+        assert target == 1e-3 * ke.abs_tol
+
+        x_out = np.linspace(0.0, L, n_x + 1)
+        y_q, w_q = ke.quad_nodes(4 * n_x)
+        x_all = np.concatenate([x_out, y_q])
+        basis, proj, decay = _sine_factors(ke, x_all, y_q, w_q, dt, max_lag)
+        assert basis.shape[1] == N and decay.shape == (max_lag, N)
+        h = scale * np.random.default_rng(seed).standard_normal(y_q.size)
+        for k in range(1, max_lag + 1):
+            applied = (decay[k - 1] * (proj @ h)) @ basis.T
+            lag_matrix = ke.eval(k * dt, x_all[:, None], y_q[None, :]) * w_q
+            reference = lag_matrix @ h
+            # each kernel value of the reference is within target of G, and
+            # the N-mode series within spectral_tail_bound(dt, N); rounding
+            # is a few ulps of the sums of absolute terms on either side
+            mass = w_q * np.abs(h).sum()
+            certified = (ke.spectral_tail_bound(dt, N) + target) * mass
+            ulps = 16 * np.finfo(float).eps
+            rounding = ulps * (N * (2.0 / L) * mass + np.abs(lag_matrix) @ np.abs(h))
+            assert np.all(np.abs(applied - reference) <= certified + rounding)
+            assert applied[0] == 0.0 and applied[n_x] == 0.0
 
 
 class TestMildContracts:
@@ -380,10 +436,8 @@ class TestMildContracts:
         for seed in (1, 2):
             noise = sample_noise(SYM, TRUNC, DOM, seed)
             for grid in (GridSpec(16, 8), GridSpec(64, 32)):
-                monkeypatch.setattr(solvers, "_lag_matrix_cache", {})
                 now = solve_mild(prob, noise, grid).values
                 with monkeypatch.context() as patch:
-                    patch.setattr(solvers, "_lag_matrix_cache", {})
                     patch.setattr(KernelEvaluator, "_eval_image", former_image_sum)
                     former = solve_mild(prob, noise, grid).values
                 moved.append(np.max(np.abs(now - former)))
