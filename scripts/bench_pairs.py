@@ -14,7 +14,11 @@ median is worse than the before median by at most the metric's relative
 holds when the after side wins at least nine tenths of the pairs and the
 medians differ by more than the before side's interquartile range.  One
 traced run (``--trace 1``) per side and traced workload adds the
-per-layer metrics named by ``--traced``.
+per-layer metrics named by ``--traced``.  The arguments are checked before
+the first run: a ``--claim`` or ``--traced`` item that is not
+``<workload>:<metric>``, with the workload among ``--workloads`` and the
+metric in ``BENCHMARK.json`` (an end-to-end one for a claim), an unknown
+workload, or fewer than two pairs exits 2.
 """
 
 from __future__ import annotations
@@ -72,16 +76,32 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--seconds", type=float, default=35.0)
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
+    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
     parser.add_argument("--traced", nargs="*", default=["verify-desk:kernel.eval_calls",
                                                         "verify-desk:kernel.eval_s"])
     parser.add_argument("--claim", nargs="*", default=[])
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2: quartiles need two runs per side")
 
     bench = json.loads((args.after / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     bound = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+
+    def split(item: str, metrics) -> tuple:
+        workload, _, name = item.partition(":")
+        if workload not in args.workloads or name not in metrics:
+            parser.error(f"{item!r} is not <workload>:<metric> with a workload among "
+                         f"--workloads and a metric among {sorted(metrics)}")
+        return workload, name
+
+    # Checked before the first run: a bad item would otherwise fail after all of them.
+    for item in args.claim:
+        split(item, bound)
+    traced = {}
+    for workload, name in (split(item, better) for item in args.traced):
+        traced.setdefault(workload, []).append(name)
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
     runs = {w: {"before": [], "after": []} for w in args.workloads}
     for i in range(args.pairs):
@@ -109,10 +129,6 @@ def main(argv=None) -> int:
         }
         report["workloads"][workload] = {"all_correct": correct, "end_to_end": metrics}
 
-    traced = {}
-    for item in args.traced:
-        workload, name = item.split(":")
-        traced.setdefault(workload, []).append(name)
     for workload, names in traced.items():
         metrics = {
             side: run(checkout, workload, args.seed, args.seconds, 1)["metrics"]

@@ -125,9 +125,14 @@ class KernelEvaluator:
 
     def propagator_modes(self, t_min: float) -> int:
         """Fewest series modes whose tail bound at t_min, and so at every
-        later t, is within ``_TAIL_FRACTION`` of ``abs_tol``."""
+        later t, is within ``_TAIL_FRACTION`` of ``abs_tol``.
+
+        The walk starts at a lower bound: below it the first dropped term,
+        (2/L) exp(-rate (N+1)^2), alone exceeds the target."""
         target = _TAIL_FRACTION * self.abs_tol
-        N = 1
+        rate = math.pi ** 2 * t_min / (2.0 * self.length_L ** 2)
+        first = math.log(max(2.0 / (self.length_L * target), 1.0)) / rate
+        N = max(1, math.floor(math.sqrt(first)) - 1)
         while self.spectral_tail_bound(t_min, N) > target:
             N += 1
         return N

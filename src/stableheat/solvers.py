@@ -4,11 +4,12 @@
 successive time windows.  Within a window the map is strictly causal:
 drift integrals use left-endpoint quadrature on the grid times, and each
 jump reads the state at its own left limit, so the discretized map is
-strictly lower triangular in event order.  Grid sources reach later grid
-times in N sine modes, where G_t is diagonal and N is certified by the
-kernel's series tail bound at one step; jump terms, whose lags can be
-shorter, stay on the kernel's image sum.  Two consequences of causality
-are exploited deliberately:
+strictly lower triangular in event order.  One lag rule splits the
+propagator: every value read at a lag of one step or more comes from N
+sine modes, where G_t is diagonal and N is certified by the kernel's
+series tail bound at one step and so at every longer lag; only the
+shorter lags (a jump's own step, and jump-jump pairs) use the kernel's
+image sum.  Two consequences of causality are exploited deliberately:
 
 * one forward pass in time order computes the exact fixed point of the
   map, with no iteration and no tolerance (the cross-cutoff consistency
@@ -202,17 +203,16 @@ def grid_lp_norm_p(row: np.ndarray, dx: float, p: float) -> float:
 
 # -- mild-form causal-march solver ----------------------------------------
 
-def _sine_factors(ke, x_all, y_q, w_q, dt, max_lag):
-    """(basis, proj, decay): G_(k*dt) applied to a source column h on y_q and
-    read on x_all is ``(decay[k-1] * (proj @ h)) @ basis.T`` for k = 1..max_lag,
-    in the N modes the kernel certifies at the shortest lag, dt."""
+def _sine_factors(ke, x_all, y_q, w_q, dt):
+    """(basis, proj, rates): G_t applied to a source column h on y_q and read
+    on x_all is ``(np.exp(-t * rates) * (proj @ h)) @ basis.T``, in the N
+    modes the kernel certifies at one step dt and so at every lag t >= dt."""
     L = ke.length_L
     N = ke.propagator_modes(dt)
     basis = _basis_matrix(x_all, N, L)
     basis[(x_all == 0.0) | (x_all == L)] = 0.0  # G vanishes on the boundary
     proj = _basis_matrix(y_q, N, L).T * w_q
-    decay = np.exp(-np.arange(1, max_lag + 1)[:, None] * dt * _mode_rates(N, L))
-    return basis, proj, decay
+    return basis, proj, _mode_rates(N, L)
 
 
 def _integrand_column(problem, mu, s, y_q, u, gauss_row):
@@ -227,39 +227,27 @@ def _integrand_column(problem, mu, s, y_q, u, gauss_row):
     return col
 
 
-def _jump_kernels(ke, x_all, y_q, w_q, src_times, t_targets, jt, jx, lag_min):
-    """Every kernel value one window's jumps read, in one ``eval`` call per kind.
+def _jump_kernels(ke, x_all, y_q, w_q, jt, jx, back, ahead, lag_min):
+    """The image-sum values one window's jumps read, in one ``eval`` call each.
 
-    With slot(l) the grid step whose jumps include jump l, returns
-    (near, rows, jj, cols):
+    Jump l lies back[l] after the grid time before it and ahead[l] before
+    the grid time at or after it.  Returns (near, rows, jj, cols):
 
-    * rows[l, k] = G(jt_l - s_k, jx_l, y_q) * w_q for sources k <= slot(l)
-      whose lag is at least lag_min; ``near`` marks the shorter lags,
-      where the kernel acts as the identity and the march interpolates;
+    * rows[l] = G(back_l, jx_l, y_q) * w_q where back_l is at least
+      lag_min; ``near`` marks the shorter lags, where the kernel acts as
+      the identity and the march interpolates;
     * jj[l, k] = G(jt_l - jt_k, jx_l, jx_k) for strictly earlier jumps k;
-    * cols[l, i] = G(max(t_i - jt_l, 1e-18), x_all, jx_l) for i >= slot(l).
+    * cols[l] = G(max(ahead_l, 1e-18), x_all, jx_l).
     """
-    slot = np.searchsorted(t_targets, jt, "left")[:, None]
-    steps = np.arange(t_targets.size)
-
-    src_lag = jt[:, None] - src_times
-    near = src_lag < lag_min
-    use = (steps <= slot) & ~near
-    rows = np.zeros(use.shape + y_q.shape)
-    at = np.nonzero(use)[0]
-    rows[use] = ke.eval(src_lag[use][:, None], jx[at, None], y_q) * w_q
-
+    near = back < lag_min
+    rows = np.zeros((jt.size, y_q.size))
+    rows[~near] = ke.eval(back[~near, None], jx[~near, None], y_q) * w_q
     jj_lag = jt[:, None] - jt
     earlier = jj_lag > 0.0  # times are sorted, so only k < l qualify
     jj = np.zeros(earlier.shape)
     at_l, at_k = np.nonzero(earlier)
     jj[earlier] = ke.eval(jj_lag[earlier], jx[at_l], jx[at_k])
-
-    ahead = steps >= slot
-    cols = np.zeros(ahead.shape + x_all.shape)
-    tgt_lag = np.maximum(t_targets - jt[:, None], 1e-18)
-    at = np.nonzero(ahead)[0]
-    cols[ahead] = ke.eval(tgt_lag[ahead][:, None], x_all, jx[at, None])
+    cols = ke.eval(np.maximum(ahead, 1e-18)[:, None], x_all, jx[:, None])
     return near, rows, jj, cols
 
 
@@ -269,72 +257,66 @@ def _solve_window(
     """The mild map on one window of w grid steps, solved in one causal pass.
 
     ``jumps`` holds the window's time-sorted jumps in (a, a + w*dt] and
-    ``factors`` the sine propagator of ``_sine_factors``.  Returns
+    ``factors`` the sine propagator of ``_sine_factors``.  Every value
+    read at a lag of one step or more is read from the N sine modes;
+    only a jump's own step (its row on the step's source, its column on
+    the step's target) and jump-jump pairs use the image sum.  Returns
     (targets, u_left): targets has shape (w, len(x_all)) and u_left holds
     the state at each jump's left limit.
     """
     a = a_idx * dt
     n_q = y_q.size
-    basis, proj, decay = factors
-    lag_min = _LAG_MIN_FACTOR * (w_q * w_q)
+    basis, proj, rates = factors
     mu = noise.compensator_mu
     jt, jx, jz = jumps
-    n_jump = jt.size
-    t_targets = a + dt * np.arange(1, w + 1)
-    # Each batched kernel value depends on its own arguments only, and the
-    # march below keeps the per-jump order of the dot products and
-    # updates, so the batches change no bit of the result (nor the
-    # cross-cutoff prefix, whatever later jumps a batch holds).
-    if n_jump:
+    # Jump l lies in grid step slot[l]: a + slot*dt < jt_l <= a + (slot+1)*dt.
+    slot = np.searchsorted(a + dt * np.arange(1, w + 1), jt, "left")
+    first = np.searchsorted(slot, np.arange(w + 1), "left")
+    back, ahead = jt - (a + slot * dt), a + (slot + 1) * dt - jt
+    # Each batched kernel value depends on its own arguments only, and
+    # every sum below runs over the jumps of one step or earlier, so the
+    # batches change no bit of the result (nor the cross-cutoff prefix).
+    if jt.size:
         near, rows, jj, cols = _jump_kernels(
-            ke, x_all, y_q, w_q, a + np.arange(w) * dt, t_targets, jt, jx, lag_min
+            ke, x_all, y_q, w_q, jt, jx, back, ahead, _LAG_MIN_FACTOR * (w_q * w_q)
         )
+    e_jump = _basis_matrix(jx, rates.size, ke.length_L)
+    e_back = np.exp(-back[:, None] * rates) * e_jump
+    e_ahead = np.exp(-ahead[:, None] * rates) * e_jump
 
-    # Kernel row of source k applied at jump l.  Lags below the
-    # quadrature resolution fall back to interpolation (the kernel acts
-    # as the identity there).
-    def row_apply(l, k, vec_q):
-        if near[l, k]:
-            return float(np.interp(jx[l], y_q, vec_q))
-        return float(rows[l, k] @ vec_q)
-
-    # Propagation of the window-initial state to every target time.
-    targets = (decay[:w] * (proj @ v_a_q)) @ basis.T
-    h = np.empty((w, n_q))
-    u_left = np.empty(n_jump)
-    kick = np.empty(n_jump)  # phi(tau-, x, u(tau-)) * z per jump
-    l = 0
+    step = np.exp(-dt * rates)
+    c_src = np.zeros(rates.size)  # v_a and the drift sources before s_j, at s_j
+    c_jump = np.zeros(rates.size)  # the window's jumps at or before s_j, at s_j
+    targets = np.empty((w, x_all.size))
+    u_left = np.empty(jt.size)
+    kick = np.empty(jt.size)  # phi(tau-, x, u(tau-)) * z per jump
     for j in range(w):
-        # Sources s_0..s_(j-1) and every jump up to s_j have reached the
-        # target at s_j, so the state there is final.
+        # Every source and jump up to s_j has reached s_j: the state is final.
         u_j = v_a_q if j == 0 else targets[j - 1, -n_q:]
-        h[j] = _integrand_column(
+        h = _integrand_column(
             problem, mu, a + j * dt, y_q, u_j,
             None if gauss_rows is None else gauss_rows[j],
         )
-        # Source s_j reaches the later targets at lags dt..(w-j)*dt.
-        targets[j:] += dt * ((decay[: w - j] * (proj @ h[j])) @ basis.T)
-
-        # Jumps in (s_j, s_(j+1)], in time order: each reads v_a, the
-        # drift sources s_0..s_j and the earlier jumps of the window.
-        while l < n_jump and jt[l] <= t_targets[j]:
-            val = row_apply(l, 0, v_a_q)
-            for k in range(j + 1):
-                s_k = a + k * dt
-                weight = min(a + (k + 1) * dt, jt[l]) - s_k
-                val += weight * row_apply(l, k, h[k])
-            for k in range(l):
-                if jt[l] > jt[k]:
-                    val += float(jj[l, k]) * kick[k]
+        own = v_a_q if j == 0 else 0.0  # v_a is read like step 0's source
+        now = slice(first[j], first[j + 1])
+        # Jumps in (s_j, s_(j+1)], in time order: each reads its own step's
+        # source on the image sum, the older sources in modes, and the
+        # window's earlier jumps on the image sum.
+        for l in range(now.start, now.stop):
+            vec = own + back[l] * h
+            val = float(np.interp(jx[l], y_q, vec)) if near[l] else float(rows[l] @ vec)
+            val += float(e_back[l] @ c_src) + float(jj[l, :l] @ kick[:l])
             u_left[l] = val
-            phi = float(problem.noise_coef.evaluate(jt[l], jx[l], val))
-            kick[l] = phi * jz[l]
-            targets[j:] += cols[l, j:] * kick[l]
-            l += 1
+            kick[l] = float(problem.noise_coef.evaluate(jt[l], jx[l], val)) * jz[l]
+        c_src = step * (c_src + proj @ (own + dt * h))
+        targets[j] = (c_src + step * c_jump) @ basis.T
+        if jt.size:
+            targets[j] += kick[now] @ cols[now]
+        c_jump = step * c_jump + kick[now] @ e_ahead[now]
 
     if not (np.all(np.isfinite(targets)) and np.all(np.isfinite(u_left))):
         raise BlowUpError(
-            f"non-finite state in window ({a:.6g}, {t_targets[-1]:.6g}] of the "
+            f"non-finite state in window ({a:.6g}, {a + w * dt:.6g}] of the "
             f"mild solve, noise seed {noise.seed}",
             path_seed=noise.seed,
         )
@@ -373,7 +355,7 @@ def solve_mild(
     x_out = grid.nodes(L)
     y_q, w_q = ke.quad_nodes(n_q)
     x_all = np.concatenate([x_out, y_q])
-    factors = _sine_factors(ke, x_all, y_q, w_q, dt, window_steps)
+    factors = _sine_factors(ke, x_all, y_q, w_q, dt)
 
     gauss = None
     if problem.trunc.gaussian_correction:

@@ -1,0 +1,68 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", ROOT / "scripts" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(bench_pairs)
+END_TO_END = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Counts the perfbench runs main starts, and fakes their results."""
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((workload, trace))
+        names = END_TO_END + trace * ["kernel.eval_calls", "kernel.eval_points"]
+        return {"correct": True, "metrics": {name: {"value": 1.0} for name in names}}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    return calls
+
+
+def argv(tmp_path, *extra):
+    return ["--before", str(ROOT), "--after", str(ROOT), "--pairs", "2",
+            "--out", str(tmp_path / "bench.json"), *extra]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--traced", "verify-desk"],  # no ":metric"
+        ["--traced", "verify-desk:no_such_metric"],
+        ["--traced", "no-such-workload:kernel.eval_calls"],
+        ["--workloads", "comparison-256", "--traced", "verify-desk:kernel.eval_calls"],
+        ["--claim", "verify-desk"],
+        ["--claim", "verify-desk:kernel.eval_calls"],  # claims are end-to-end metrics
+        ["--claim", "verify-desk:wall_s:extra"],
+        ["--workloads", "no-such-workload"],
+        ["--pairs", "1"],  # one run per side has no quartiles
+    ],
+)
+def test_malformed_item_exits_2_before_any_run(tmp_path, runs, extra):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv(tmp_path, *extra))
+    assert exc.value.code == 2
+    assert runs == []
+    assert not (tmp_path / "bench.json").exists()
+
+
+def test_well_formed_items_run_and_write(tmp_path, runs):
+    assert bench_pairs.main(argv(
+        tmp_path, "--workloads", "verify-desk",
+        "--traced", "verify-desk:kernel.eval_calls", "verify-desk:kernel.eval_points",
+        "--claim", "verify-desk:wall_s",
+    )) == 0
+    assert runs == [("verify-desk", 0)] * 4 + [("verify-desk", 1)] * 2
+    report = json.loads((tmp_path / "bench.json").read_text())
+    assert set(report["claims"]) == {"verify-desk:wall_s"}
+    assert set(report["workloads"]["verify-desk"]["traced"]) == {
+        "kernel.eval_calls", "kernel.eval_points",
+    }

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stableheat.errors import AccuracyError, DeltaSingularityError, ParameterError
-from stableheat.kernel import KernelEvaluator, _image_count_limits
+from stableheat.kernel import _TAIL_FRACTION, KernelEvaluator, _image_count_limits
 
 
 def series_oracle(t, x, y, L=1.0, n_max=60):
@@ -181,6 +181,35 @@ class TestSpectralTail:
     def test_default_count_is_spectral_modes(self):
         ke = KernelEvaluator(1.0, spectral_modes=7)
         assert ke.spectral_tail_bound(0.01) == ke.spectral_tail_bound(0.01, 7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        L=st.floats(0.1, 10.0),
+        t_frac=st.floats(1e-4, 2.0),
+        abs_tol=st.floats(1e-14, 1e-4),
+    )
+    def test_propagator_modes_equal_the_walk_from_one(self, L, t_frac, abs_tol):
+        # the walk starts at an analytic lower bound on the fewest modes;
+        # it must land where a walk from N = 1 does
+        ke = KernelEvaluator(L, abs_tol=abs_tol)
+        t = t_frac * L * L
+        N = 1
+        while ke.spectral_tail_bound(t, N) > _TAIL_FRACTION * abs_tol:
+            N += 1
+        assert ke.propagator_modes(t) == N
+
+    @pytest.mark.parametrize("n_t", [16, 64, 128, 256])
+    def test_propagator_walk_is_short_at_solver_grids(self, n_t, monkeypatch):
+        calls = []
+        bound = KernelEvaluator.spectral_tail_bound
+
+        def counting_bound(self, t, N=None):
+            calls.append(N)
+            return bound(self, t, N)
+
+        monkeypatch.setattr(KernelEvaluator, "spectral_tail_bound", counting_bound)
+        KernelEvaluator(1.0).propagator_modes(1.0 / n_t)
+        assert len(calls) <= 3
 
 
 def straddling_times(ke, data):

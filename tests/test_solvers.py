@@ -100,7 +100,7 @@ def march_windows(problem, noise, grid, window_steps=4):
     x_out = grid.nodes(L)
     y_q, w_q = ke.quad_nodes(n_q)
     x_all = np.concatenate([x_out, y_q])
-    factors = _sine_factors(ke, x_all, y_q, w_q, dt, window_steps)
+    factors = _sine_factors(ke, x_all, y_q, w_q, dt)
     kmats = lag_matrices(ke, x_all, y_q, w_q, dt, window_steps)
     gauss = None
     if problem.trunc.gaussian_correction:
@@ -192,46 +192,51 @@ def per_jump_window(problem, noise, window):
 
     The order of every floating-point operation is that of
     ``_solve_window``, which builds the same kernel values in batches and
-    propagates the grid sources with the same sine factors.
+    reads the longer lags from the same sine modes.
     """
     ke, x_all, y_q, w_q = window.ke, window.x_all, window.y_q, window.w_q
-    (basis, proj, decay), a, w, dt = window.factors, window.a, window.w, window.dt
+    (basis, proj, rates), a, w, dt = window.factors, window.a, window.w, window.dt
     v_a_q, gauss_rows = window.v_a_q, window.gauss_rows
     jt, jx, jz = window.jumps
-    n_q = y_q.size
-    t_targets = a + dt * np.arange(1, w + 1)
-
-    def row_apply(lag, x_pt, vec_q):
-        if lag < _LAG_MIN_FACTOR * (w_q * w_q):
-            return float(np.interp(x_pt, y_q, vec_q))
-        return float((ke.eval(lag, float(x_pt), y_q) * w_q) @ vec_q)
-
-    targets = (decay[:w] * (proj @ v_a_q)) @ basis.T
-    h = np.empty((w, n_q))
+    n_q, N = y_q.size, rates.size
+    step = np.exp(-dt * rates)
+    c_src, c_jump = np.zeros(N), np.zeros(N)
+    targets = np.empty((w, x_all.size))
     u_left, kick = np.empty(jt.size), np.empty(jt.size)
     l = 0
     for j in range(w):
+        s_j, t_j = a + j * dt, a + (j + 1) * dt
         u_j = v_a_q if j == 0 else targets[j - 1, -n_q:]
-        h[j] = _integrand_column(
-            problem, noise.compensator_mu, a + j * dt, y_q, u_j,
+        h = _integrand_column(
+            problem, noise.compensator_mu, s_j, y_q, u_j,
             None if gauss_rows is None else gauss_rows[j],
         )
-        targets[j:] += dt * ((decay[: w - j] * (proj @ h[j])) @ basis.T)
-        while l < jt.size and jt[l] <= t_targets[j]:
-            val = row_apply(jt[l] - a, jx[l], v_a_q)
-            for k in range(j + 1):
-                s_k = a + k * dt
-                weight = min(a + (k + 1) * dt, jt[l]) - s_k
-                val += weight * row_apply(jt[l] - s_k, jx[l], h[k])
-            for k in range(l):
-                if jt[l] > jt[k]:
-                    val += float(ke.eval(jt[l] - jt[k], jx[l], jx[k])) * kick[k]
+        own = v_a_q if j == 0 else 0.0
+        cols, e_ahead, first = [], [], l
+        while l < jt.size and jt[l] <= t_j:
+            back, ahead = jt[l] - s_j, t_j - jt[l]
+            vec = own + back * h
+            if back < _LAG_MIN_FACTOR * (w_q * w_q):
+                val = float(np.interp(jx[l], y_q, vec))
+            else:
+                val = float((ke.eval(back, float(jx[l]), y_q) * w_q) @ vec)
+            e_l = _basis_matrix(jx[l : l + 1], N, ke.length_L)[0]
+            jj = np.array([
+                ke.eval(jt[l] - jt[k], jx[l], jx[k]) if jt[l] > jt[k] else 0.0
+                for k in range(l)
+            ])
+            val += float((np.exp(-back * rates) * e_l) @ c_src) + float(jj @ kick[:l])
             u_left[l] = val
             kick[l] = float(problem.noise_coef.evaluate(jt[l], jx[l], val)) * jz[l]
-            for i in range(j, w):
-                lag = max(t_targets[i] - jt[l], 1e-18)
-                targets[i] += ke.eval(lag, x_all, jx[l]) * kick[l]
+            cols.append(ke.eval(max(ahead, 1e-18), x_all, jx[l]))
+            e_ahead.append(np.exp(-ahead * rates) * e_l)
             l += 1
+        c_src = step * (c_src + proj @ (own + dt * h))
+        targets[j] = (c_src + step * c_jump) @ basis.T
+        now = kick[first:l]
+        if jt.size:
+            targets[j] += now @ np.array(cols).reshape(now.size, x_all.size)
+        c_jump = step * c_jump + now @ np.array(e_ahead).reshape(now.size, N)
     return targets, u_left
 
 
@@ -278,10 +283,13 @@ class TestSineFactors:
         dt=st.floats(1e-3, 0.25),
         n_x=st.integers(2, 64),
         max_lag=st.integers(1, 4),
+        off_grid=st.lists(st.floats(1.0, 6.0), min_size=1, max_size=3),
         seed=st.integers(0, 2**32 - 1),
         scale=st.floats(1e-3, 1e3),
     )
-    def test_certified_modes_match_the_kernel(self, L, dt, n_x, max_lag, seed, scale):
+    def test_certified_modes_match_the_kernel(
+        self, L, dt, n_x, max_lag, off_grid, seed, scale
+    ):
         ke = KernelEvaluator(length_L=L)
         target = _TAIL_FRACTION * ke.abs_tol
         N = ke.propagator_modes(dt)
@@ -293,16 +301,19 @@ class TestSineFactors:
         x_out = np.linspace(0.0, L, n_x + 1)
         y_q, w_q = ke.quad_nodes(4 * n_x)
         x_all = np.concatenate([x_out, y_q])
-        basis, proj, decay = _sine_factors(ke, x_all, y_q, w_q, dt, max_lag)
-        assert basis.shape[1] == N and decay.shape == (max_lag, N)
+        basis, proj, rates = _sine_factors(ke, x_all, y_q, w_q, dt)
+        assert basis.shape[1] == N and rates.shape == (N,)
         h = scale * np.random.default_rng(seed).standard_normal(y_q.size)
-        for k in range(1, max_lag + 1):
-            applied = (decay[k - 1] * (proj @ h)) @ basis.T
-            lag_matrix = ke.eval(k * dt, x_all[:, None], y_q[None, :]) * w_q
+        # grid lags k*dt and drawn lags between grid times, all >= dt
+        lags = [k * dt for k in range(1, max_lag + 1)] + [m * dt for m in off_grid]
+        for lag in lags:
+            applied = (np.exp(-lag * rates) * (proj @ h)) @ basis.T
+            lag_matrix = ke.eval(lag, x_all[:, None], y_q[None, :]) * w_q
             reference = lag_matrix @ h
             # each kernel value of the reference is within target of G, and
-            # the N-mode series within spectral_tail_bound(dt, N); rounding
-            # is a few ulps of the sums of absolute terms on either side
+            # the N-mode series within spectral_tail_bound(dt, N), which
+            # bounds every longer lag; rounding is a few ulps of the sums of
+            # absolute terms on either side
             mass = w_q * np.abs(h).sum()
             certified = (ke.spectral_tail_bound(dt, N) + target) * mass
             ulps = 16 * np.finfo(float).eps
@@ -392,12 +403,14 @@ class TestMildContracts:
     def test_kernel_calls_per_window(self, monkeypatch):
         # the window builds its kernel values in at most one call per kind
         # (jump rows, jump-jump values, jump-to-target columns); a fallback
-        # to per-jump calls makes hundreds
+        # to per-jump calls makes hundreds.  Each jump reads one image row
+        # and writes one image column, and each earlier jump one jump-jump
+        # value: every longer lag is read from the sine modes
         calls = []
         eval_orig, window_orig = KernelEvaluator.eval, solvers._solve_window
 
         def counting_eval(self, *args):
-            calls.append(1)
+            calls.append(np.broadcast(*args).size)
             return eval_orig(self, *args)
 
         per_window = []
@@ -405,7 +418,10 @@ class TestMildContracts:
         def counting_window(*args):
             calls.clear()
             out = window_orig(*args)
-            per_window.append((len(calls), out[1].size))
+            n_jump, n_all, n_q = out[1].size, args[3].size, args[4].size
+            bound = n_jump * (n_q + n_all) + n_jump * (n_jump - 1) // 2
+            per_window.append((len(calls), n_jump))
+            assert sum(calls) <= bound
             return out
 
         monkeypatch.setattr(KernelEvaluator, "eval", counting_eval)
@@ -423,7 +439,10 @@ class TestMildContracts:
         # the image sum as it was before each value summed only its own
         # certified image count: all 2*image_terms+1 shifts at every lag,
         # reduced in numpy's own order; no grid value moves by over 1e-15
+        ran = []
+
         def former_image_sum(self, t, x, y):
+            ran.append(t.size)
             k = np.arange(-self.image_terms, self.image_terms + 1)
             shifts = (2.0 * self.length_L * k).reshape((-1,) + (1,) * t.ndim)
             diff = y - x + shifts
@@ -437,11 +456,14 @@ class TestMildContracts:
             noise = sample_noise(SYM, TRUNC, DOM, seed)
             for grid in (GridSpec(16, 8), GridSpec(64, 32)):
                 now = solve_mild(prob, noise, grid).values
+                ran.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(KernelEvaluator, "_eval_image", former_image_sum)
                     former = solve_mild(prob, noise, grid).values
+                # the patch took effect: the former sum served this solve
+                assert sum(ran) > 0
                 moved.append(np.max(np.abs(now - former)))
-        assert 0.0 < max(moved) <= 1e-15
+        assert max(moved) <= 1e-15
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
