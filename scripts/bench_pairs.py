@@ -18,7 +18,9 @@ per-layer metrics named by ``--traced``.  The arguments are checked before
 the first run: a ``--claim`` or ``--traced`` item that is not
 ``<workload>:<metric>``, with the workload among ``--workloads`` and the
 metric in ``BENCHMARK.json`` (an end-to-end one for a claim), an unknown
-workload, or fewer than two pairs exits 2.
+workload, or fewer than two pairs exits 2.  A run that crashes before
+its JSON line counts as incorrect, and each metric is summarized over
+the runs that measured it, so one failed run cannot lose the others.
 """
 
 from __future__ import annotations
@@ -39,22 +41,39 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    try:
+        result = json.loads(out.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):  # crashed before its JSON line: no metrics
+        result = {"correct": False, "metrics": {}}
     print(f"{checkout.name} {workload} seed {seed} trace {trace}: correct={result['correct']}",
           file=sys.stderr, flush=True)
     return result
 
 
+def value(result: dict, name: str):
+    """A run's value of one metric, or None if the run did not measure it."""
+    return result["metrics"].get(name, {}).get("value")
+
+
 def summary(values: list) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """Median and quartiles of the runs that measured the metric."""
+    values = [v for v in values if v is not None]
+    if len(values) < 2:
+        q1 = median = q3 = values[0] if values else None
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
 def compare(before: list, after: list, better: str, bound: float) -> dict:
+    """Pairs in which either run lacks the metric are neither won nor lost;
+    they still count among the pairs a claim must win."""
     sign = 1.0 if better == "higher" else -1.0
-    wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
-    losses = sum(sign * (a - b) < 0 for b, a in zip(before, after))
+    both = [(b, a) for b, a in zip(before, after) if b is not None and a is not None]
+    wins = sum(sign * (a - b) > 0 for b, a in both)
+    losses = sum(sign * (a - b) < 0 for b, a in both)
     b, a = summary(before), summary(after)
+    measured = b["median"] is not None and a["median"] is not None
     return {
         "before": b,
         "after": a,
@@ -63,8 +82,9 @@ def compare(before: list, after: list, better: str, bound: float) -> dict:
         "wins": wins,
         "losses": losses,
         "pairs": len(before),
-        "within_bound": sign * (a["median"] - b["median"]) >= -bound * abs(b["median"]),
-        "gain_holds": wins >= 0.9 * len(before)
+        "within_bound": measured
+        and sign * (a["median"] - b["median"]) >= -bound * abs(b["median"]),
+        "gain_holds": measured and wins >= 0.9 * len(before)
         and sign * (a["median"] - b["median"]) > b["q3"] - b["q1"],
     }
 
@@ -122,26 +142,28 @@ def main(argv=None) -> int:
     }
     for workload, by_side in runs.items():
         correct = all(r["correct"] for side in by_side.values() for r in side)
+        names = dict.fromkeys(n for side in by_side.values() for r in side for n in r["metrics"])
         metrics = {
-            name: compare(*([r["metrics"][name]["value"] for r in by_side[s]]
+            name: compare(*([value(r, name) for r in by_side[s]]
                             for s in ("before", "after")), better[name], bound[name])
-            for name in by_side["after"][0]["metrics"]
+            for name in names
         }
         report["workloads"][workload] = {"all_correct": correct, "end_to_end": metrics}
 
     for workload, names in traced.items():
-        metrics = {
-            side: run(checkout, workload, args.seed, args.seconds, 1)["metrics"]
+        results = {
+            side: run(checkout, workload, args.seed, args.seconds, 1)
             for side, checkout in sides.items()
         }
         report["workloads"].setdefault(workload, {})["traced"] = {
-            name: {side: metrics[side][name]["value"] for side in sides} for name in names
+            name: {side: value(results[side], name) for side in sides} for name in names
         }
 
     report["claims"] = {}
     for item in args.claim:
         workload, name = item.split(":")
-        report["claims"][item] = report["workloads"][workload]["end_to_end"][name]["gain_holds"]
+        measured = report["workloads"][workload]["end_to_end"].get(name)
+        report["claims"][item] = bool(measured and measured["gain_holds"])
     report["within_bounds"] = {
         f"{workload}:{name}": metric["within_bound"]
         for workload, entry in report["workloads"].items()

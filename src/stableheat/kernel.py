@@ -29,8 +29,11 @@ series at its smallest, since the image bound grows and the series
 bound falls with t.  A value depends on its own (t, x, y) only, never on
 the batch around it: the batch is evaluated at its largest image count,
 the shifts beyond an element's own count are exact zeros, and terms are
-summed in order along one axis, so a batched value equals the scalar
-one bitwise.
+summed in order, so a batched value equals the scalar one bitwise.  The
+t-only quantities (2t, normalization, image counts, method split) are
+computed at t's shape and the boundary mask at that of x and y, and the
+image sum adds its shifts one at a time into one accumulator, so a batch
+needs a few arrays of its output's shape, not a stack of 2M+1 of them.
 
 A solver propagating in N sine modes takes N from ``propagator_modes``,
 certified like M(t) at its shortest lag and so at every longer one.
@@ -157,10 +160,11 @@ class KernelEvaluator:
 
     def eval(self, t, x, y):
         """Kernel value(s) at times t > 0; t, x and y broadcast together."""
-        tb, xb, yb = np.broadcast_arrays(*(np.asarray(v, float) for v in (t, x, y)))
-        if tb.size == 0:
-            return np.zeros(tb.shape)
-        t_min = tb.min()
+        t, x, y = (np.asarray(v, float) for v in (t, x, y))
+        shape = np.broadcast_shapes(t.shape, x.shape, y.shape)
+        if math.prod(shape) == 0:
+            return np.zeros(shape)
+        t_min = t.min()
         if t_min < 0.0:
             raise ParameterError(f"t must be non-negative, got {t_min}")
         if t_min == 0.0:
@@ -168,27 +172,24 @@ class KernelEvaluator:
                 "kernel at t=0 is a delta distribution; use convolve for t=0"
             )
         if self.method == "auto":
-            on_image = tb < self.crossover_time
+            on_image = t < self.crossover_time
         else:
-            on_image = np.full(tb.shape, self.method == "image_sum")
+            on_image = np.full(t.shape, self.method == "image_sum")
         if on_image.all():
-            out = self._eval_image(tb, xb, yb)
-        elif not on_image.any():
-            out = self._eval_spectral(tb, xb, yb)
-        else:  # the batch straddles the crossover: each side by its method
-            out = np.empty(tb.shape)
-            rest = ~on_image
-            out[on_image] = self._eval_image(tb[on_image], xb[on_image], yb[on_image])
-            out[rest] = self._eval_spectral(tb[rest], xb[rest], yb[rest])
-        out = np.where(self._boundary_mask(xb, yb), 0.0, out)
-        return out if out.ndim else float(out)
-
-    def _boundary_mask(self, xb, yb):
+            out = np.asarray(self._eval_image(t, x, y))
+        else:  # the series, or each side of the crossover by its method
+            tb, xb, yb = np.broadcast_arrays(t, x, y)
+            img = np.broadcast_to(on_image, shape)
+            out = np.empty(shape)
+            if img.any():
+                out[img] = self._eval_image(tb[img], xb[img], yb[img])
+            out[~img] = self._eval_spectral(tb[~img], xb[~img], yb[~img])
         # The kernel vanishes identically on the boundary; the truncated
         # sums only reproduce that up to their tail bound, so exact
         # endpoint hits are zeroed outright.
         L = self.length_L
-        return (xb == 0.0) | (xb == L) | (yb == 0.0) | (yb == L)
+        np.copyto(out, 0.0, where=(x == 0.0) | (x == L) | (y == 0.0) | (y == L))
+        return out if out.ndim else float(out)
 
     def _eval_image(self, t, x, y):
         t_max = float(t.max())
@@ -198,14 +199,25 @@ class KernelEvaluator:
             self._check_accuracy(float(t_check), "image_sum")
         counts = self._image_counts(t)
         m = int(counts.max())
-        k = np.arange(-m, m + 1).reshape((-1,) + (1,) * t.ndim)
-        shifts = 2.0 * self.length_L * k
-        diff = y - x + shifts
-        summ = y + x + shifts
-        val = np.exp(-diff * diff / (2.0 * t)) - np.exp(-summ * summ / (2.0 * t))
-        # Shifts beyond an element's own count add exact zeros.
-        val = np.where(np.abs(k) <= counts, val, 0.0)
-        return _in_order_sum(val) / np.sqrt(2.0 * math.pi * t)
+        two_t = 2.0 * t
+        buf = np.empty(np.broadcast_shapes(t.shape, x.shape, y.shape))
+
+        def exponent(op, shift):  # -(op(y, x) + shift)^2 / (2t), in buf
+            np.add(op(y, x, out=buf), shift, out=buf)
+            np.divide(np.multiply(buf, buf, out=buf), two_t, out=buf)
+            return np.negative(buf, out=buf)
+
+        # Shifts k = -m..m one at a time in np.add.accumulate's order (+0.0 + v
+        # is v: no term is -0.0); exp never in place, where numpy may differ.
+        total = 0.0
+        for k in range(-m, m + 1):
+            shift = 2.0 * self.length_L * k
+            val = np.exp(exponent(np.subtract, shift))
+            val -= np.exp(exponent(np.add, shift))
+            if abs(k) > counts.min():  # exact zeros beyond an element's count
+                val = np.where(abs(k) <= counts, val, 0.0)
+            total += val
+        return total / np.sqrt(2.0 * math.pi * t)
 
     def _eval_spectral(self, t, x, y):
         # The series tail bound falls as t grows: the smallest t certifies.
@@ -214,7 +226,9 @@ class KernelEvaluator:
         n = np.arange(1, self.spectral_modes + 1).reshape((-1,) + (1,) * t.ndim)
         decay = np.exp(-(n * math.pi / L) ** 2 * t / 2.0)
         val = np.sin(n * math.pi * x / L) * np.sin(n * math.pi * y / L) * decay
-        return 2.0 / L * _in_order_sum(val)
+        # Mode after mode: val.sum(axis=0) would sum a 1-d batch pairwise but a
+        # wider one row by row, so a value would depend on its batch's shape.
+        return 2.0 / L * np.add.accumulate(val, axis=0)[-1]
 
     # -- integral operations -------------------------------------------
 
@@ -282,15 +296,6 @@ class KernelEvaluator:
         value = value_at(t)
         c_fit = max(c_fit, value * t ** ((p - 1.0) / 2.0))
         return value, c_fit * t ** (-(p - 1.0) / 2.0)
-
-
-def _in_order_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum along axis 0 one term after another.
-
-    ``terms.sum(axis=0)`` sums a 1-d array pairwise but a wider one row by
-    row, so its result would depend on the shape of the batch.
-    """
-    return np.add.accumulate(terms, axis=0)[-1]
 
 
 @functools.lru_cache(maxsize=16)

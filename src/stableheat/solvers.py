@@ -8,8 +8,10 @@ strictly lower triangular in event order.  One lag rule splits the
 propagator: every value read at a lag of one step or more comes from N
 sine modes, where G_t is diagonal and N is certified by the kernel's
 series tail bound at one step and so at every longer lag; only the
-shorter lags (a jump's own step, and jump-jump pairs) use the kernel's
-image sum.  Two consequences of causality are exploited deliberately:
+shorter lags (a jump's own step, and jump-jump pairs in one window) use
+the kernel's image sum, evaluated once per solve since the jumps are
+known before any state is.  Two consequences of causality are exploited
+deliberately:
 
 * one forward pass in time order computes the exact fixed point of the
   map, with no iteration and no tolerance (the cross-cutoff consistency
@@ -227,69 +229,79 @@ def _integrand_column(problem, mu, s, y_q, u, gauss_row):
     return col
 
 
-def _jump_kernels(ke, x_all, y_q, w_q, jt, jx, back, ahead, lag_min):
-    """The image-sum values one window's jumps read, in one ``eval`` call each.
+def _jump_table(ke, noise, x_all, y_q, w_q, rates, dt, n_t, window_steps):
+    """What the causal march reads of the jumps, one tuple per window.
 
-    Jump l lies back[l] after the grid time before it and ahead[l] before
-    the grid time at or after it.  Returns (near, rows, jj, cols):
-
-    * rows[l] = G(back_l, jx_l, y_q) * w_q where back_l is at least
-      lag_min; ``near`` marks the shorter lags, where the kernel acts as
-      the identity and the march interpolates;
-    * jj[l, k] = G(jt_l - jt_k, jx_l, jx_k) for strictly earlier jumps k;
-    * cols[l] = G(max(ahead_l, 1e-18), x_all, jx_l).
+    None of it depends on the state, so a solve builds it once, with one
+    ``eval`` call per kind.  Step i = a_idx + slot spans (a_idx*dt +
+    slot*dt, a_idx*dt + (slot+1)*dt]; one searchsorted on the right ends
+    puts each jump in exactly one step (one past the last right end in the
+    last), back after its left end and ahead before its right end.  A window's tuple
+    holds first (the jumps of its step j are first[j]:first[j+1]) and, per
+    time-sorted jump l, t, x, z, back, near[l] = back_l < lag_min (there
+    the kernel acts as the identity), rows[l] = G(back_l, x_l, y_q) * w_q
+    (zero where near), jj[l][k] = G(t_l - t_k, x_l, x_k) for the window's
+    jumps k < l (zero at equal times; pairs in different windows are never
+    evaluated), cols[l] = G(max(ahead_l, 1e-18), x_all, x_l) and the modes
+    e_back[l], e_ahead[l] = exp(-back_l rates) e(x_l), exp(-ahead_l rates) e(x_l).
     """
-    near = back < lag_min
-    rows = np.zeros((jt.size, y_q.size))
-    rows[~near] = ke.eval(back[~near, None], jx[~near, None], y_q) * w_q
-    jj_lag = jt[:, None] - jt
-    earlier = jj_lag > 0.0  # times are sorted, so only k < l qualify
-    jj = np.zeros(earlier.shape)
-    at_l, at_k = np.nonzero(earlier)
-    jj[earlier] = ke.eval(jj_lag[earlier], jx[at_l], jx[at_k])
-    cols = ke.eval(np.maximum(ahead, 1e-18)[:, None], x_all, jx[:, None])
-    return near, rows, jj, cols
+    t, x, z = noise.taus, noise.xs, noise.zs
+    step = np.arange(n_t)
+    a_idx = step - step % window_steps
+    slot = step - a_idx
+    right = a_idx * dt + (slot + 1) * dt
+    in_step = np.minimum(np.searchsorted(right, t, "left"), n_t - 1)
+    first = np.searchsorted(in_step, np.arange(n_t + 1), "left")
+    back = t - (a_idx * dt + slot * dt)[in_step]
+    ahead = right[in_step] - t
+    # Jump l pairs with the earlier jumps k = start_l .. l-1 of its window.
+    start = first[a_idx[in_step]]
+    count = np.arange(t.size) - start
+    offset = np.concatenate(([0], np.cumsum(count)))
+    pair_l = np.repeat(np.arange(t.size), count)
+    pair_k = start[pair_l] + np.arange(offset[-1]) - offset[pair_l]
+    lag = t[pair_l] - t[pair_k]
+    earlier = lag > 0.0
+    near = back < _LAG_MIN_FACTOR * (w_q * w_q)
+    rows, jj, cols = np.zeros((t.size, y_q.size)), np.zeros(lag.size), np.zeros((0, x_all.size))
+    if t.size:
+        cols = ke.eval(np.maximum(ahead, 1e-18)[:, None], x_all, x[:, None])
+        rows[~near] = ke.eval(back[~near, None], x[~near, None], y_q) * w_q
+        jj[earlier] = ke.eval(lag[earlier], x[pair_l[earlier]], x[pair_k[earlier]])
+    e_jump = _basis_matrix(x, rates.size, ke.length_L)
+    per_jump = (
+        t, x, z, back, near, rows, np.split(jj, offset[1:-1]), cols,
+        np.exp(-back[:, None] * rates) * e_jump, np.exp(-ahead[:, None] * rates) * e_jump,
+    )
+    windows = []
+    for a in range(0, n_t, window_steps):
+        steps = first[a : a + window_steps + 1]
+        windows.append((steps - steps[0],) + tuple(f[steps[0] : steps[-1]] for f in per_jump))
+    return windows
 
 
-def _solve_window(
-    problem, noise, ke, x_all, y_q, w_q, factors, a_idx, w, dt, v_a_q, jumps, gauss_rows
-):
+def _solve_window(problem, noise, y_q, factors, a_idx, w, dt, v_a_q, jumps, gauss_rows):
     """The mild map on one window of w grid steps, solved in one causal pass.
 
-    ``jumps`` holds the window's time-sorted jumps in (a, a + w*dt] and
-    ``factors`` the sine propagator of ``_sine_factors``.  Every value
-    read at a lag of one step or more is read from the N sine modes;
-    only a jump's own step (its row on the step's source, its column on
-    the step's target) and jump-jump pairs use the image sum.  Returns
-    (targets, u_left): targets has shape (w, len(x_all)) and u_left holds
-    the state at each jump's left limit.
+    ``jumps`` is the window's tuple from ``_jump_table`` and ``factors``
+    the sine propagator of ``_sine_factors``.  Every value read at a lag
+    of one step or more is read from the N sine modes; only a jump's own
+    step (its row on the step's source, its column on the step's target)
+    and jump-jump pairs use the image sum, precomputed in ``jumps``.
+    Returns (targets, u_left): targets has shape (w, len(x_all)) and
+    u_left holds the state at each jump's left limit.
     """
     a = a_idx * dt
     n_q = y_q.size
     basis, proj, rates = factors
     mu = noise.compensator_mu
-    jt, jx, jz = jumps
-    # Jump l lies in grid step slot[l]: a + slot*dt < jt_l <= a + (slot+1)*dt.
-    slot = np.searchsorted(a + dt * np.arange(1, w + 1), jt, "left")
-    first = np.searchsorted(slot, np.arange(w + 1), "left")
-    back, ahead = jt - (a + slot * dt), a + (slot + 1) * dt - jt
-    # Each batched kernel value depends on its own arguments only, and
-    # every sum below runs over the jumps of one step or earlier, so the
-    # batches change no bit of the result (nor the cross-cutoff prefix).
-    if jt.size:
-        near, rows, jj, cols = _jump_kernels(
-            ke, x_all, y_q, w_q, jt, jx, back, ahead, _LAG_MIN_FACTOR * (w_q * w_q)
-        )
-    e_jump = _basis_matrix(jx, rates.size, ke.length_L)
-    e_back = np.exp(-back[:, None] * rates) * e_jump
-    e_ahead = np.exp(-ahead[:, None] * rates) * e_jump
-
+    first, jt, jx, jz, back, near, rows, jj, cols, e_back, e_ahead = jumps
     step = np.exp(-dt * rates)
     c_src = np.zeros(rates.size)  # v_a and the drift sources before s_j, at s_j
     c_jump = np.zeros(rates.size)  # the window's jumps at or before s_j, at s_j
-    targets = np.empty((w, x_all.size))
-    u_left = np.empty(jt.size)
-    kick = np.empty(jt.size)  # phi(tau-, x, u(tau-)) * z per jump
+    targets = np.empty((w, basis.shape[0]))
+    u_left = np.empty(jx.size)
+    kick = np.empty(jx.size)  # phi(tau-, x, u(tau-)) * z per jump
     for j in range(w):
         # Every source and jump up to s_j has reached s_j: the state is final.
         u_j = v_a_q if j == 0 else targets[j - 1, -n_q:]
@@ -305,12 +317,12 @@ def _solve_window(
         for l in range(now.start, now.stop):
             vec = own + back[l] * h
             val = float(np.interp(jx[l], y_q, vec)) if near[l] else float(rows[l] @ vec)
-            val += float(e_back[l] @ c_src) + float(jj[l, :l] @ kick[:l])
+            val += float(e_back[l] @ c_src) + float(jj[l] @ kick[:l])
             u_left[l] = val
             kick[l] = float(problem.noise_coef.evaluate(jt[l], jx[l], val)) * jz[l]
         c_src = step * (c_src + proj @ (own + dt * h))
         targets[j] = (c_src + step * c_jump) @ basis.T
-        if jt.size:
+        if jx.size:
             targets[j] += kick[now] @ cols[now]
         c_jump = step * c_jump + kick[now] @ e_ahead[now]
 
@@ -356,6 +368,7 @@ def solve_mild(
     y_q, w_q = ke.quad_nodes(n_q)
     x_all = np.concatenate([x_out, y_q])
     factors = _sine_factors(ke, x_all, y_q, w_q, dt)
+    tables = _jump_table(ke, noise, x_all, y_q, w_q, factors[2], dt, n_t, window_steps)
 
     gauss = None
     if problem.trunc.gaussian_correction:
@@ -369,15 +382,11 @@ def solve_mild(
 
     v_a_q = problem.init.values(y_q)
     windows = range(0, n_t, window_steps)
-    for a_idx in windows:
+    for a_idx, jumps in zip(windows, tables):
         w = min(window_steps, n_t - a_idx)
-        a = a_idx * dt
-        in_window = (noise.taus > a) & (noise.taus <= a + w * dt)
-        jumps = (noise.taus[in_window], noise.xs[in_window], noise.zs[in_window])
         gauss_rows = gauss[a_idx : a_idx + w] if gauss is not None else None
         targets, _ = _solve_window(
-            problem, noise, ke, x_all, y_q, w_q, factors, a_idx, w, dt, v_a_q,
-            jumps, gauss_rows,
+            problem, noise, y_q, factors, a_idx, w, dt, v_a_q, jumps, gauss_rows
         )
         values[a_idx + 1 : a_idx + w + 1] = targets[:, : n_x + 1]
         v_a_q = targets[-1, -n_q:]

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -66,3 +67,41 @@ def test_well_formed_items_run_and_write(tmp_path, runs):
     assert set(report["workloads"]["verify-desk"]["traced"]) == {
         "kernel.eval_calls", "kernel.eval_points",
     }
+
+
+@pytest.mark.parametrize("stdout", ["", "Traceback (most recent call last):\n  ...\n"])
+def test_run_without_a_json_line_is_incorrect(monkeypatch, stdout):
+    monkeypatch.setattr(
+        bench_pairs.subprocess, "run", lambda *args, **kwargs: SimpleNamespace(stdout=stdout)
+    )
+    assert bench_pairs.run(ROOT, "verify-desk", 1, 1.0, 0) == {"correct": False, "metrics": {}}
+
+
+def test_failed_runs_do_not_abort_the_summary(tmp_path, monkeypatch):
+    # the third run crashed and the fourth timed nothing (every repetition
+    # errored, so only pass_frac is reported); the others still count
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append(trace)
+        if len(calls) == 3 or trace:
+            return {"correct": False, "metrics": {}}
+        names = ["pass_frac"] if len(calls) == 4 else END_TO_END
+        return {"correct": True, "metrics": {n: {"value": float(len(calls))} for n in names}}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    assert bench_pairs.main(
+        ["--before", str(ROOT), "--after", str(ROOT), "--pairs", "3",
+         "--out", str(tmp_path / "bench.json"), "--workloads", "verify-desk",
+         "--traced", "verify-desk:kernel.eval_calls", "--claim", "verify-desk:wall_s"]
+    ) == 0
+    assert calls == [0] * 6 + [1] * 2
+    entry = json.loads((tmp_path / "bench.json").read_text())["workloads"]["verify-desk"]
+    assert entry["all_correct"] is False
+    wall = entry["end_to_end"]["wall_s"]
+    # pair 0 ran before (1), after (2); pair 1 after (crashed), before
+    # (pass_frac only); pair 2 before (5), after (6)
+    assert wall["before"]["runs"] == [1.0, 5.0] and wall["after"]["runs"] == [2.0, 6.0]
+    assert wall["pairs"] == 3 and wall["wins"] + wall["losses"] == 2
+    assert entry["end_to_end"]["pass_frac"]["before"]["runs"] == [1.0, 4.0, 5.0]
+    assert entry["traced"] == {"kernel.eval_calls": {"before": None, "after": None}}

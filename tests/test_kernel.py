@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,28 @@ class TestBatchedEval:
             ke.eval(np.array([0.1, 0.0]), 0.5, 0.5)
         with pytest.raises(ParameterError):
             ke.eval(np.array([0.1, -0.2]), 0.5, 0.5)
+
+
+class TestImageSumMemory:
+    def test_row_batch_peaks_at_a_few_output_arrays(self):
+        # t and x per row, y per column, as the mild solver batches its jump
+        # rows: the image sum works at the output's shape, one shift at a
+        # time, instead of stacking its 2M+1 shifts
+        ke = KernelEvaluator(1.0)
+        n, P = 200, 641
+        rng = np.random.default_rng(0)
+        t = rng.uniform(1e-4, 0.25, (n, 1))
+        x = rng.uniform(0.0, 1.0, (n, 1))
+        y = np.linspace(0.0, 1.0, P)
+        ke.eval(t, x, y)  # the image count limits are bisected once, here
+        tracemalloc.start()
+        try:
+            out = ke.eval(t, x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, P)
+        assert peak <= 6 * n * P * 8
 
 
 class TestConvolve:
