@@ -21,6 +21,8 @@ metric in ``BENCHMARK.json`` (an end-to-end one for a claim), an unknown
 workload, or fewer than two pairs exits 2.  A run that crashes before
 its JSON line counts as incorrect, and each metric is summarized over
 the runs that measured it, so one failed run cannot lose the others.
+The line count of each checkout's ``src/`` (its ``.py`` files, as
+``wc -l`` counts them) is recorded next to the seconds.
 """
 
 from __future__ import annotations
@@ -48,6 +50,11 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
     print(f"{checkout.name} {workload} seed {seed} trace {trace}: correct={result['correct']}",
           file=sys.stderr, flush=True)
     return result
+
+
+def src_lines(checkout: Path) -> int:
+    """Newlines in the ``.py`` files under the checkout's ``src/``."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
 
 
 def value(result: dict, name: str):
@@ -138,6 +145,7 @@ def main(argv=None) -> int:
         "seeds": [args.seed + i for i in range(args.pairs)],
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version()},
+        "src_lines": {side: src_lines(checkout) for side, checkout in sides.items()},
         "workloads": {},
     }
     for workload, by_side in runs.items():

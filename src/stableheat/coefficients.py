@@ -16,9 +16,13 @@ shifted             base(t, x, u) + delta
 
 A family is one entry of ``COEFFICIENT_FAMILIES`` (or, for initial
 conditions, ``INITIAL_FAMILIES``), keyed by its name: its constructor,
-its evaluator and, for coefficients, its zero-state rule and extra
+its formula and, for coefficients, its zero-state rule and extra
 extreme u-points.  Evaluation, the structural checks, the audits and the
 config parser read only that table, so adding a family takes one entry.
+``CoefficientSpec.bind`` resolves the parameters into the bare formula
+``(t, x, u) -> values`` once (a ``shifted`` base is bound with it), for
+callers that evaluate one coefficient many times; ``evaluate`` is that
+formula plus broadcasting.
 
 Each constructor fills in tight declared bounds; audits re-check the
 declarations by randomized finite differences plus the family's
@@ -70,13 +74,22 @@ class CoefficientSpec:
         if self.lipschitz_bound < 0.0 or self.growth_bound < 0.0:
             raise ParameterError("declared bounds must be non-negative")
 
+    def bind(self) -> Callable:
+        """The family's formula ``(t, x, u) -> values`` on these parameters.
+
+        Its values equal :meth:`evaluate`'s bitwise, but it skips the
+        argument conversion and broadcasting: ``zero`` and ``constant``
+        give a scalar whatever the arguments' shapes.
+        """
+        return COEFFICIENT_FAMILIES[self.family].bind(self.params)
+
     def evaluate(self, t, x, u):
         """Pure pointwise evaluation; arguments broadcast together."""
         tb = np.asarray(t, float)
         xb = np.asarray(x, float)
         ub = np.asarray(u, float)
         shape = np.broadcast_shapes(tb.shape, xb.shape, ub.shape)
-        out = COEFFICIENT_FAMILIES[self.family].evaluate(self.params, tb, xb, ub)
+        out = self.bind()(tb, xb, ub)
         if out.shape != shape:
             out = np.broadcast_to(out, shape).copy()
         return out if out.ndim else float(out)
@@ -168,16 +181,16 @@ class Family(NamedTuple):
     """One registered family of coefficients or of initial conditions.
 
     ``make`` is the public constructor, whose parameters are the config
-    ``params``.  ``evaluate`` is the formula on the ``params`` mapping p:
-    ``evaluate(p, t, x, u)`` for a coefficient, broadcast by
-    :meth:`CoefficientSpec.evaluate`, and ``evaluate(p, x)`` for an
+    ``params``.  ``bind(p)`` resolves the ``params`` mapping p into the
+    family's formula: ``(t, x, u) -> values`` for a coefficient, broadcast
+    by :meth:`CoefficientSpec.evaluate`, and ``x -> values`` for an
     initial condition.  Coefficients also carry the analytic zero-state
     rule ``vanishes_at_zero(p)`` and ``u_edges(p)``, the u-values where
     the formula has a kink, which the audits sample.
     """
 
     make: Callable[..., Any]
-    evaluate: Callable[..., Any]
+    bind: Callable[[Mapping], Callable]
     vanishes_at_zero: Callable[[Mapping], bool] | None = None
     u_edges: Callable[[Mapping], list] = lambda p: []
 
@@ -189,32 +202,48 @@ def _clip_edges(p) -> list:
     return [edge, -edge]
 
 
+def _bind_affine(p):
+    a, b = p["a"], p["b"]
+    return lambda t, x, u: a + b * u
+
+
+def _bind_clipped_linear(p):
+    slope, cap = p["slope"], p["cap"]
+    # np.clip, without its per-call wrapper (costly on the scalar u of a jump)
+    return lambda t, x, u: np.minimum(np.maximum(slope * u, -cap), cap)
+
+
+def _bind_sine_modulated(p):
+    amplitude, wave, u_slope = p["amplitude"], p["mode"] * math.pi, p["u_slope"]
+    length = p["length"]
+    return lambda t, x, u: amplitude * np.sin(wave * x / length) * (1.0 + u_slope * u)
+
+
+def _bind_shifted(p):
+    base, delta = p["base"].bind(), p["delta"]
+    return lambda t, x, u: base(t, x, u) + delta
+
+
+def _bind_value(value):
+    value = np.float64(value)
+    return lambda t, x, u: value
+
+
 COEFFICIENT_FAMILIES = {
-    "zero": Family(zero, lambda p, t, x, u: np.float64(0.0), lambda p: True),
+    "zero": Family(zero, lambda p: _bind_value(0.0), lambda p: True),
     "constant": Family(
-        constant,
-        lambda p, t, x, u: np.float64(p["value"]),
-        lambda p: p["value"] == 0.0,
+        constant, lambda p: _bind_value(p["value"]), lambda p: p["value"] == 0.0
     ),
-    "affine": Family(
-        affine, lambda p, t, x, u: p["a"] + p["b"] * u, lambda p: p["a"] == 0.0
-    ),
+    "affine": Family(affine, _bind_affine, lambda p: p["a"] == 0.0),
     "clipped_linear": Family(
-        clipped_linear,
-        lambda p, t, x, u: np.clip(p["slope"] * u, -p["cap"], p["cap"]),
-        lambda p: True,
-        _clip_edges,
+        clipped_linear, _bind_clipped_linear, lambda p: True, _clip_edges
     ),
     "sine_modulated": Family(
-        sine_modulated,
-        lambda p, t, x, u: p["amplitude"]
-        * np.sin(p["mode"] * math.pi * x / p["length"])
-        * (1.0 + p["u_slope"] * u),
-        lambda p: p["amplitude"] == 0.0,
+        sine_modulated, _bind_sine_modulated, lambda p: p["amplitude"] == 0.0
     ),
     "shifted": Family(
         shifted,
-        lambda p, t, x, u: np.asarray(p["base"].evaluate(t, x, u)) + p["delta"],
+        _bind_shifted,
         lambda p: p["base"].vanishes_at_zero_state() and p["delta"] == 0.0,
         lambda p: COEFFICIENT_FAMILIES[p["base"].family].u_edges(p["base"].params),
     ),
@@ -372,7 +401,7 @@ class InitialCondition:
 
     def values(self, x) -> np.ndarray:
         xa = np.asarray(x, dtype=float)
-        return INITIAL_FAMILIES[self.family].evaluate(self.params, xa)
+        return INITIAL_FAMILIES[self.family].bind(self.params)(xa)
 
     def validate_dirichlet(self, length_L: float, n_check: int = 512) -> None:
         """Finiteness plus exact vanishing at both endpoints."""
@@ -435,22 +464,28 @@ def ic_tabulated(xs: Sequence[float], values: Sequence[float]) -> InitialConditi
     )
 
 
-def _bump_values(p, x) -> np.ndarray:
-    half = 0.5 * p["width"]
-    s = (x - p["center"]) / half
-    out = np.zeros_like(x)
-    inside = np.abs(s) < 1.0
-    out[inside] = p["amplitude"] * np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
-    return out
+def _bind_bump(p):
+    amplitude, center, half = p["amplitude"], p["center"], 0.5 * p["width"]
+
+    def bump(x):
+        s = (x - center) / half
+        out = np.zeros_like(x)
+        inside = np.abs(s) < 1.0
+        out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
+        return out
+
+    return bump
 
 
 INITIAL_FAMILIES = {
-    "zero": Family(ic_zero, lambda p, x: np.zeros_like(x)),
-    "constant": Family(ic_constant, lambda p, x: np.full_like(x, p["value"])),
+    "zero": Family(ic_zero, lambda p: np.zeros_like),
+    "constant": Family(ic_constant, lambda p: lambda x: np.full_like(x, p["value"])),
     "sine_mode": Family(
         ic_sine_mode,
-        lambda p, x: p["amplitude"] * np.sin(p["mode"] * math.pi * x / p["length"]),
+        lambda p: lambda x: p["amplitude"] * np.sin(p["mode"] * math.pi * x / p["length"]),
     ),
-    "bump": Family(ic_bump, _bump_values),
-    "tabulated": Family(ic_tabulated, lambda p, x: np.interp(x, p["xs"], p["values"])),
+    "bump": Family(ic_bump, _bind_bump),
+    "tabulated": Family(
+        ic_tabulated, lambda p: lambda x: np.interp(x, p["xs"], p["values"])
+    ),
 }

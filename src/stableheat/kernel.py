@@ -17,26 +17,33 @@ tail bounds are comparable, so the configured absolute tolerance is
 certified analytically at every call: evaluations whose truncation
 bound exceeds ``abs_tol`` raise instead of silently degrading.
 
-Each image-sum value sums only its own image count M(t): the smallest
-M <= ``image_terms`` whose tail bound is within ``_TAIL_FRACTION``
-of ``abs_tol`` (three images at the lags the solvers use).  Below the
-crossover the tail bound grows with t, so M(t) is a step function whose
-limits are bisected once per evaluator configuration.
+The image sum is ordered in levels by each image's least distance to
+[0, L] over x, y in [0, L]: level 0 is the three images y-x, y+x and
+y+x-2L, and every level m >= 1 holds two images at distance mL, so the
+levels beyond n are bounded by ``sum_(m>n) 2 exp(-(mL)^2/(2t)) /
+sqrt(2 pi t)``.  Each value sums only its own level count n(t): the
+smallest n whose tail bound is within ``_TAIL_FRACTION`` of ``abs_tol``
+(level 0 alone, three images, up to t = 0.0157 L^2, which covers every
+lag within one step at n_t >= 64 and T = L^2; levels 0 and 1, five
+images, up to t = 0.0644 L^2).  Below the crossover the tail bound
+grows with t, so n(t) is a step function whose limits are bisected once
+per evaluator configuration; ``image_terms`` caps it at the levels of
+the shifts |k| <= image_terms, 2*image_terms - 1.
 
 ``eval`` takes arrays of t that broadcast with x and y, and certifies a
 batch once per method: the image sum at the batch's largest t, the
 series at its smallest, since the image bound grows and the series
 bound falls with t.  A value depends on its own (t, x, y) only, never on
-the batch around it: the batch is evaluated at its largest image count,
-the shifts beyond an element's own count are exact zeros, and terms are
+the batch around it: the batch is evaluated at its largest level count,
+the levels beyond an element's own count are exact zeros, and levels are
 summed in order, so a batched value equals the scalar one bitwise.  The
-t-only quantities (2t, normalization, image counts, method split) are
+t-only quantities (2t, normalization, level counts, method split) are
 computed at t's shape and the boundary mask at that of x and y, and the
-image sum adds its shifts one at a time into one accumulator, so a batch
-needs a few arrays of its output's shape, not a stack of 2M+1 of them.
+image sum adds its images one at a time into one accumulator, so a batch
+needs a few arrays of its output's shape, not one per image.
 
 A solver propagating in N sine modes takes N from ``propagator_modes``,
-certified like M(t) at its shortest lag and so at every longer one.
+certified like n(t) at its shortest lag and so at every longer one.
 
 At t = 0 the kernel is a delta distribution; pointwise evaluation is
 refused and :meth:`KernelEvaluator.convolve` implements the identity.
@@ -62,7 +69,7 @@ __all__ = ["KernelEvaluator"]
 
 _METHODS = ("auto", "image_sum", "spectral")
 
-# An image sum stops at the first image count, and a solver's sine
+# An image sum stops at the first level count, and a solver's sine
 # propagator at the first mode count, whose tail bound is within this
 # fraction of abs_tol; only image_terms itself is held to abs_tol.
 _TAIL_FRACTION = 1e-3
@@ -95,17 +102,15 @@ class KernelEvaluator:
         """Hand-off point between image sum (below) and series (above)."""
         return self.length_L ** 2 / math.pi
 
-    def image_tail_bound(self, t: float, M: int | None = None) -> float:
-        """Upper bound on the dropped |k| > M image terms (M = image_terms by default)."""
+    def image_tail_bound(self, t: float, level: int | None = None) -> float:
+        """Upper bound on the dropped image levels beyond ``level`` (by
+        default 2*image_terms - 1, the levels of the shifts |k| <= image_terms)."""
         L = self.length_L
-        M = self.image_terms if M is None else M
-        # |y-x+2kL| >= (2|k|-1)L and |y+x+2kL| >= (2|k|-2)L for |k| > M,
-        # x, y in [0, L]; four tail branches, summed until negligible.
+        n = 2 * self.image_terms - 1 if level is None else level
+        # Level m >= 1 holds two images at least mL from [0, L].
         total = 0.0
-        for j in range(M + 1, M + 60):
-            term = 2.0 * math.exp(-((2 * j - 1) * L) ** 2 / (2.0 * t)) + 2.0 * math.exp(
-                -((2 * j - 2) * L) ** 2 / (2.0 * t)
-            )
+        for m in range(n + 1, n + 120):
+            term = 2.0 * math.exp(-(m * L) ** 2 / (2.0 * t))
             total += term
             if term < 1e-300:
                 break
@@ -140,9 +145,9 @@ class KernelEvaluator:
             N += 1
         return N
 
-    def _image_counts(self, t: np.ndarray) -> np.ndarray:
-        """The certified image count M(t) of each element of t."""
-        return 1 + np.searchsorted(_image_count_limits(self), t, "left")
+    def _image_levels(self, t: np.ndarray) -> np.ndarray:
+        """The certified level count n(t) of each element of t."""
+        return np.searchsorted(_image_level_limits(self), t, "left")
 
     def _check_accuracy(self, t: float, method: str) -> None:
         if method == "image_sum":
@@ -197,26 +202,34 @@ class KernelEvaluator:
         # t certifies the batch; beyond it every t is checked.
         for t_check in [t_max] if t_max < self.crossover_time else np.unique(t):
             self._check_accuracy(float(t_check), "image_sum")
-        counts = self._image_counts(t)
-        m = int(counts.max())
+        levels = self._image_levels(t)
         two_t = 2.0 * t
         buf = np.empty(np.broadcast_shapes(t.shape, x.shape, y.shape))
 
-        def exponent(op, shift):  # -(op(y, x) + shift)^2 / (2t), in buf
-            np.add(op(y, x, out=buf), shift, out=buf)
+        def image(op, shift):  # exp(-(op(y, x) + shift)^2 / (2t)), through buf
+            op(y, x, out=buf)
+            if shift:
+                np.add(buf, shift, out=buf)
             np.divide(np.multiply(buf, buf, out=buf), two_t, out=buf)
-            return np.negative(buf, out=buf)
+            return np.exp(np.negative(buf, out=buf))  # exp never in place
 
-        # Shifts k = -m..m one at a time in np.add.accumulate's order (+0.0 + v
-        # is v: no term is -0.0); exp never in place, where numpy may differ.
-        total = 0.0
-        for k in range(-m, m + 1):
-            shift = 2.0 * self.length_L * k
-            val = np.exp(exponent(np.subtract, shift))
-            val -= np.exp(exponent(np.add, shift))
-            if abs(k) > counts.min():  # exact zeros beyond an element's count
-                val = np.where(abs(k) <= counts, val, 0.0)
-            total += val
+        L = self.length_L
+        total = image(np.subtract, 0.0)  # level 0: y-x, y+x, y+x-2L
+        total -= image(np.add, 0.0)
+        total -= image(np.add, -2.0 * L)
+        for m in range(1, int(levels.max()) + 1):
+            if m % 2:  # y-x -+ (m+1)L, odd images
+                val = image(np.subtract, -(m + 1) * L)
+                val += image(np.subtract, (m + 1) * L)
+            else:  # y+x + mL and y+x - (m+2)L, reflected images
+                val = image(np.add, m * L)
+                val += image(np.add, -(m + 2) * L)
+            if m > levels.min():  # exact zeros beyond an element's count
+                np.copyto(val, 0.0, where=m > levels)
+            if m % 2:
+                total += val
+            else:
+                total -= val
         return total / np.sqrt(2.0 * math.pi * t)
 
     def _eval_spectral(self, t, x, y):
@@ -299,21 +312,22 @@ class KernelEvaluator:
 
 
 @functools.lru_cache(maxsize=16)
-def _image_count_limits(ke: KernelEvaluator) -> tuple:
-    """limits[M-1]: a t up to which M < image_terms images are certified.
+def _image_level_limits(ke: KernelEvaluator) -> tuple:
+    """limits[n]: a t up to which the levels 0..n are certified, for each
+    level count n below the cap 2*image_terms - 1.
 
     Each limit is bisected on (0, crossover_time], where the tail bound
     grows with t, and is a t at which the bound holds (or 0.0).  More
-    images hold the bound at every t where fewer do, so the bisections
+    levels hold the bound at every t where fewer do, so the bisections
     part ways in order and the limits come out sorted.
     """
     target = _TAIL_FRACTION * ke.abs_tol
     limits = []
-    for m in range(1, ke.image_terms):
+    for n in range(2 * ke.image_terms - 1):
         lo, hi = 0.0, ke.crossover_time
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if ke.image_tail_bound(mid, m) <= target:
+            if ke.image_tail_bound(mid, n) <= target:
                 lo = mid
             else:
                 hi = mid

@@ -182,18 +182,21 @@ class NoiseRealization:
     seed: int
 
     def __post_init__(self):
-        taus, xs, mags = self.taus, self.xs, np.abs(self.zs)
-        if taus.ndim != 1 or xs.shape != taus.shape or mags.shape != taus.shape:
+        taus, xs, zs = self.taus, self.xs, self.zs
+        if taus.ndim != 1 or xs.shape != taus.shape or zs.shape != taus.shape:
             raise ParameterError("taus, xs and zs must be 1-d arrays of one length")
-        if not np.all(np.diff(taus) >= 0.0):
-            raise ParameterError("jump times must be sorted in time")
-        if not np.all((taus >= 0.0) & (taus <= self.domain.horizon_T)):
-            raise ParameterError("jump times must lie in [0, T]")
-        if not np.all((xs >= 0.0) & (xs <= self.domain.length_L)):
-            raise ParameterError("jump positions must lie in [0, L]")
-        trunc = self.truncation
-        if not np.all((mags > trunc.small_cutoff_eps) & (mags <= trunc.big_cutoff_K)):
-            raise ParameterError("jump magnitudes must lie in (eps, K]")
+        # Each test is written to fail on NaN; min and max propagate it.
+        if taus.size:
+            if not (taus[1:] >= taus[:-1]).all():
+                raise ParameterError("jump times must be sorted in time")
+            # Sorted, so the two endpoints bound every time.
+            if not (taus[0] >= 0.0 and taus[-1] <= self.domain.horizon_T):
+                raise ParameterError("jump times must lie in [0, T]")
+            if not (xs.min() >= 0.0 and xs.max() <= self.domain.length_L):
+                raise ParameterError("jump positions must lie in [0, L]")
+            mags, trunc = np.abs(zs), self.truncation
+            if not (mags.min() > trunc.small_cutoff_eps and mags.max() <= trunc.big_cutoff_K):
+                raise ParameterError("jump magnitudes must lie in (eps, K]")
         for arr in (self.taus, self.xs, self.zs):
             arr.setflags(write=False)
 

@@ -10,7 +10,11 @@ sine modes, where G_t is diagonal and N is certified by the kernel's
 series tail bound at one step and so at every longer lag; only the
 shorter lags (a jump's own step, and jump-jump pairs in one window) use
 the kernel's image sum, evaluated once per solve since the jumps are
-known before any state is.  Two consequences of causality are exploited
+known before any state is; where dt <= 0.0157 L^2 (n_t >= 64 at
+T = L^2) those lags sum the three nearest images only.  What depends on the
+grid alone (quadrature nodes, sine factors, step decay) is built once per
+grid and shared read-only, and a solve binds its two coefficient
+formulas once.  Two consequences of causality are exploited
 deliberately:
 
 * one forward pass in time order computes the exact fixed point of the
@@ -30,9 +34,10 @@ share immutable inputs, so concurrent solves need no locking.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -217,20 +222,55 @@ def _sine_factors(ke, x_all, y_q, w_q, dt):
     return basis, proj, _mode_rates(N, L)
 
 
-def _integrand_column(problem, mu, s, y_q, u, gauss_row):
-    """Drift-like integrand f - mu*phi (+ phi * Gaussian field) at one grid source."""
-    col = np.asarray(problem.drift.evaluate(s, y_q, u), float)
+class _Grid(NamedTuple):
+    """The constants of a mild solve on one grid, shared read-only."""
+
+    ke: KernelEvaluator
+    dt: float
+    x_out: np.ndarray  # grid nodes
+    y_q: np.ndarray  # quadrature nodes, weight w_q
+    w_q: float
+    x_all: np.ndarray  # x_out then y_q: where a step's target is read
+    basis: np.ndarray  # the _sine_factors triple
+    proj: np.ndarray
+    rates: np.ndarray
+    step: np.ndarray  # exp(-dt * rates): one step of the sine propagator
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_constants(length_L: float, horizon_T: float, grid: GridSpec) -> _Grid:
+    """Build a grid's constants once; every solve on the grid shares them,
+    so their arrays are made read-only."""
+    ke = KernelEvaluator(length_L=length_L)
+    dt = grid.dt(horizon_T)
+    x_out = grid.nodes(length_L)
+    y_q, w_q = ke.quad_nodes(4 * grid.n_x)
+    x_all = np.concatenate([x_out, y_q])
+    basis, proj, rates = _sine_factors(ke, x_all, y_q, w_q, dt)
+    step = np.exp(-dt * rates)
+    for arr in (x_out, y_q, x_all, basis, proj, rates, step):
+        arr.setflags(write=False)
+    return _Grid(ke, dt, x_out, y_q, w_q, x_all, basis, proj, rates, step)
+
+
+def _integrand_column(drift, phi, mu, s, y_q, u, gauss_row):
+    """Drift-like integrand f - mu*phi (+ phi * Gaussian field) at one grid
+    source, from the formulas drift and phi (``CoefficientSpec.bind``)."""
+    col = drift(s, y_q, u)
     if mu != 0.0 or gauss_row is not None:
-        pv = np.asarray(problem.noise_coef.evaluate(s, y_q, u), float)
+        pv = phi(s, y_q, u)
         if mu != 0.0:
             col = col - mu * pv
         if gauss_row is not None:
             col = col + pv * gauss_row
+    if col.shape != y_q.shape:  # a zero or constant f, alone
+        col = np.broadcast_to(col, y_q.shape)
     return col
 
 
-def _jump_table(ke, noise, x_all, y_q, w_q, rates, dt, n_t, window_steps):
-    """What the causal march reads of the jumps, one tuple per window.
+def _jump_table(g, noise, n_t, window_steps):
+    """What the causal march reads of the jumps, one tuple per window, on
+    the grid ``g`` of n_t steps.
 
     None of it depends on the state, so a solve builds it once, with one
     ``eval`` call per kind.  Step i = a_idx + slot spans (a_idx*dt +
@@ -245,6 +285,7 @@ def _jump_table(ke, noise, x_all, y_q, w_q, rates, dt, n_t, window_steps):
     evaluated), cols[l] = G(max(ahead_l, 1e-18), x_all, x_l) and the modes
     e_back[l], e_ahead[l] = exp(-back_l rates) e(x_l), exp(-ahead_l rates) e(x_l).
     """
+    ke, x_all, y_q, w_q, rates, dt = g.ke, g.x_all, g.y_q, g.w_q, g.rates, g.dt
     t, x, z = noise.taus, noise.xs, noise.zs
     step = np.arange(n_t)
     a_idx = step - step % window_steps
@@ -270,7 +311,7 @@ def _jump_table(ke, noise, x_all, y_q, w_q, rates, dt, n_t, window_steps):
         jj[earlier] = ke.eval(lag[earlier], x[pair_l[earlier]], x[pair_k[earlier]])
     e_jump = _basis_matrix(x, rates.size, ke.length_L)
     per_jump = (
-        t, x, z, back, near, rows, np.split(jj, offset[1:-1]), cols,
+        t, x, z, back, near, rows, [jj[i:k] for i, k in zip(offset[:-1], offset[1:])], cols,
         np.exp(-back[:, None] * rates) * e_jump, np.exp(-ahead[:, None] * rates) * e_jump,
     )
     windows = []
@@ -280,25 +321,25 @@ def _jump_table(ke, noise, x_all, y_q, w_q, rates, dt, n_t, window_steps):
     return windows
 
 
-def _solve_window(problem, noise, y_q, factors, a_idx, w, dt, v_a_q, jumps, gauss_rows):
+def _solve_window(drift, phi, noise, g, a_idx, w, v_a_q, jumps, gauss_rows):
     """The mild map on one window of w grid steps, solved in one causal pass.
 
-    ``jumps`` is the window's tuple from ``_jump_table`` and ``factors``
-    the sine propagator of ``_sine_factors``.  Every value read at a lag
-    of one step or more is read from the N sine modes; only a jump's own
-    step (its row on the step's source, its column on the step's target)
-    and jump-jump pairs use the image sum, precomputed in ``jumps``.
-    Returns (targets, u_left): targets has shape (w, len(x_all)) and
-    u_left holds the state at each jump's left limit.
+    ``drift`` and ``phi`` are the bound coefficient formulas, ``g`` the
+    grid's ``_Grid`` and ``jumps`` the window's tuple from ``_jump_table``.
+    Every value read at a lag of one step or more is read from the N sine
+    modes; only a jump's own step (its row on the step's source, its
+    column on the step's target) and jump-jump pairs use the image sum,
+    precomputed in ``jumps``.  Returns (targets, u_left): targets has
+    shape (w, len(x_all)) and u_left holds the state at each jump's left
+    limit.
     """
+    dt, y_q, basis, proj, step = g.dt, g.y_q, g.basis, g.proj, g.step
     a = a_idx * dt
     n_q = y_q.size
-    basis, proj, rates = factors
     mu = noise.compensator_mu
     first, jt, jx, jz, back, near, rows, jj, cols, e_back, e_ahead = jumps
-    step = np.exp(-dt * rates)
-    c_src = np.zeros(rates.size)  # v_a and the drift sources before s_j, at s_j
-    c_jump = np.zeros(rates.size)  # the window's jumps at or before s_j, at s_j
+    c_src = np.zeros(step.size)  # v_a and the drift sources before s_j, at s_j
+    c_jump = np.zeros(step.size)  # the window's jumps at or before s_j, at s_j
     targets = np.empty((w, basis.shape[0]))
     u_left = np.empty(jx.size)
     kick = np.empty(jx.size)  # phi(tau-, x, u(tau-)) * z per jump
@@ -306,7 +347,7 @@ def _solve_window(problem, noise, y_q, factors, a_idx, w, dt, v_a_q, jumps, gaus
         # Every source and jump up to s_j has reached s_j: the state is final.
         u_j = v_a_q if j == 0 else targets[j - 1, -n_q:]
         h = _integrand_column(
-            problem, mu, a + j * dt, y_q, u_j,
+            drift, phi, mu, a + j * dt, y_q, u_j,
             None if gauss_rows is None else gauss_rows[j],
         )
         own = v_a_q if j == 0 else 0.0  # v_a is read like step 0's source
@@ -319,14 +360,15 @@ def _solve_window(problem, noise, y_q, factors, a_idx, w, dt, v_a_q, jumps, gaus
             val = float(np.interp(jx[l], y_q, vec)) if near[l] else float(rows[l] @ vec)
             val += float(e_back[l] @ c_src) + float(jj[l] @ kick[:l])
             u_left[l] = val
-            kick[l] = float(problem.noise_coef.evaluate(jt[l], jx[l], val)) * jz[l]
+            kick[l] = float(phi(jt[l], jx[l], val)) * jz[l]
         c_src = step * (c_src + proj @ (own + dt * h))
         targets[j] = (c_src + step * c_jump) @ basis.T
-        if jx.size:
+        c_jump = step * c_jump
+        if now.start < now.stop:  # a step without jumps adds nothing
             targets[j] += kick[now] @ cols[now]
-        c_jump = step * c_jump + kick[now] @ e_ahead[now]
+            c_jump += kick[now] @ e_ahead[now]
 
-    if not (np.all(np.isfinite(targets)) and np.all(np.isfinite(u_left))):
+    if not (np.isfinite(targets).all() and np.isfinite(u_left).all()):
         raise BlowUpError(
             f"non-finite state in window ({a:.6g}, {a + w * dt:.6g}] of the "
             f"mild solve, noise seed {noise.seed}",
@@ -354,42 +396,38 @@ def solve_mild(
     limit.  The map is strictly lower triangular in event order, so one
     forward pass in time order computes its fixed point exactly: grid
     source, then the jumps up to the next grid time, then that target.
+    The grid's constants come from ``_grid_constants``, built once per
+    grid, and f and phi are bound once per solve.
     """
     if window_steps < 1:
         raise ParameterError("window_steps must be >= 1")
     _check_noise_matches(problem, noise)
 
-    T, L = problem.dom.horizon_T, problem.dom.length_L
     n_t, n_x = grid.n_t, grid.n_x
-    dt = grid.dt(T)
-    n_q = 4 * n_x
-    ke = KernelEvaluator(length_L=L)
-    x_out = grid.nodes(L)
-    y_q, w_q = ke.quad_nodes(n_q)
-    x_all = np.concatenate([x_out, y_q])
-    factors = _sine_factors(ke, x_all, y_q, w_q, dt)
-    tables = _jump_table(ke, noise, x_all, y_q, w_q, factors[2], dt, n_t, window_steps)
+    g = _grid_constants(problem.dom.length_L, problem.dom.horizon_T, grid)
+    tables = _jump_table(g, noise, n_t, window_steps)
 
     gauss = None
     if problem.trunc.gaussian_correction:
         # Scaled so that adding phi*gauss to the drift integrand
         # reproduces sum G * phi * dW over the cells of one step.
-        gauss = noise.gaussian_increments(n_t, n_q) / (dt * w_q)
+        gauss = noise.gaussian_increments(n_t, g.y_q.size) / (g.dt * g.w_q)
 
     values = np.empty((n_t + 1, n_x + 1))
-    values[0] = problem.init.values(x_out)
+    values[0] = problem.init.values(g.x_out)
     values[0, [0, -1]] = 0.0
 
-    v_a_q = problem.init.values(y_q)
+    drift, phi = problem.drift.bind(), problem.noise_coef.bind()
+    v_a_q = problem.init.values(g.y_q)
     windows = range(0, n_t, window_steps)
     for a_idx, jumps in zip(windows, tables):
         w = min(window_steps, n_t - a_idx)
         gauss_rows = gauss[a_idx : a_idx + w] if gauss is not None else None
         targets, _ = _solve_window(
-            problem, noise, y_q, factors, a_idx, w, dt, v_a_q, jumps, gauss_rows
+            drift, phi, noise, g, a_idx, w, v_a_q, jumps, gauss_rows
         )
         values[a_idx + 1 : a_idx + w + 1] = targets[:, : n_x + 1]
-        v_a_q = targets[-1, -n_q:]
+        v_a_q = targets[-1, -g.y_q.size :]
 
     return GridSolution(
         values=values,

@@ -105,3 +105,24 @@ def test_failed_runs_do_not_abort_the_summary(tmp_path, monkeypatch):
     assert wall["pairs"] == 3 and wall["wins"] + wall["losses"] == 2
     assert entry["end_to_end"]["pass_frac"]["before"]["runs"] == [1.0, 4.0, 5.0]
     assert entry["traced"] == {"kernel.eval_calls": {"before": None, "after": None}}
+
+
+def test_src_line_counts_of_both_checkouts_are_recorded(tmp_path, runs):
+    sides = {}
+    for side, lines in (("before", 5), ("after", 3)):
+        package = tmp_path / side / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text("x = 1\n" * (lines - 1))
+        (package / "b.py").write_text("y = 2\n")
+        (package / "notes.txt").write_text("not code\n" * 7)
+        sides[side] = tmp_path / side
+    (sides["after"] / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(
+        ["--before", str(sides["before"]), "--after", str(sides["after"]), "--pairs", "2",
+         "--out", str(out), "--workloads", "verify-desk", "--traced"]
+    ) == 0
+    assert json.loads(out.read_text())["src_lines"] == {"before": 5, "after": 3}
+    assert bench_pairs.src_lines(ROOT) == sum(
+        len(p.read_text().splitlines()) for p in (ROOT / "src").rglob("*.py")
+    )

@@ -208,3 +208,54 @@ def test_ordering_gate_samples_the_kinks_of_a_shifted_base():
     for pair in ((f, g), (shifted(f, 0.0), shifted(g, 0.0))):
         with pytest.raises(HypothesisError):
             dominates(*pair)
+
+
+def same_bits(got, want) -> bool:
+    want = np.asarray(want, float)
+    return np.broadcast_to(np.asarray(got, float), want.shape).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(COEFFICIENT_FAMILIES))
+@FAMILY_SETTINGS
+@given(data=st.data(), length_L=LENGTHS, n=st.integers(1, 6))
+def test_bound_formula_equals_evaluate_bitwise(family, data, length_L, n):
+    # the mild solver reads the bound formula, everything else evaluate:
+    # on arrays, 0-d arrays, numpy scalars, Python floats and the solver's
+    # mixes of them, the two give the same bits (zero and constant give a
+    # scalar, which only broadcasting tells apart)
+    spec = draw_family(data, COEFFICIENT_FAMILIES, family, length_L)
+    formula = spec.bind()
+
+    def points(lo, hi):
+        return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    t, x, u = points(0.0, 1.0), points(0.0, length_L), points(-60.0, 60.0)
+    assert same_bits(formula(t, x, u), spec.evaluate(t, x, u))
+    assert same_bits(formula(float(t[0]), x, u), spec.evaluate(float(t[0]), x, u))
+    for i in range(n):
+        want = spec.evaluate(t[i], x[i], u[i])
+        assert isinstance(want, float)
+        for args in (
+            (float(t[i]), float(x[i]), float(u[i])),
+            (np.asarray(t[i]), np.asarray(x[i]), np.asarray(u[i])),
+            (t[i], x[i], float(u[i])),  # a jump's kick
+        ):
+            assert same_bits(formula(*args), want)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        shifted(shifted(clipped_linear(0.4, 2.0), 0.1), -0.3),
+        shifted(shifted(COEFFICIENT_FAMILIES["zero"].make(), 0.0), 0.5),
+        shifted(COEFFICIENT_FAMILIES["constant"].make(-0.0), 0.0),
+    ],
+    ids=["shifted-shifted-clipped", "shifted-shifted-zero", "shifted-constant"],
+)
+def test_nested_bound_formula_equals_evaluate_bitwise(spec):
+    rng = np.random.default_rng(0)
+    t, x, u = rng.uniform(0, 1, 32), rng.uniform(0, 1, 32), rng.uniform(-60, 60, 32)
+    u[:2] = 0.0, -0.0
+    assert same_bits(spec.bind()(t, x, u), spec.evaluate(t, x, u))
+    for i in range(32):
+        assert same_bits(spec.bind()(float(t[i]), x[i], u[i]), spec.evaluate(t[i], x[i], u[i]))

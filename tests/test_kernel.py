@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stableheat.errors import AccuracyError, DeltaSingularityError, ParameterError
-from stableheat.kernel import _TAIL_FRACTION, KernelEvaluator, _image_count_limits
+from stableheat.kernel import _TAIL_FRACTION, KernelEvaluator, _image_level_limits
 
 
 def series_oracle(t, x, y, L=1.0, n_max=60):
@@ -135,33 +135,51 @@ UNIT = st.floats(0.0, 1.0)
 
 class TestImageCount:
     def test_three_images_at_solver_lags(self):
-        # the lags of a 4-step window at dt = 1/64 on the unit interval
+        # every lag within one step at n_t >= 64 on the unit interval sums
+        # level 0 alone: the images y-x, y+x and y+x-2L
         ke = KernelEvaluator(1.0)
-        lags = np.linspace(1e-4, 1.0 / 16.0, 50)
-        assert np.all(ke._image_counts(lags) == 1)
-        assert ke.image_tail_bound(1.0 / 16.0, 1) <= 1e-3 * ke.abs_tol
+        lags = np.linspace(1e-6, 1.0 / 64.0, 50)
+        assert np.all(ke._image_levels(lags) == 0)
+        assert ke.image_tail_bound(1.0 / 64.0, 0) <= _TAIL_FRACTION * ke.abs_tol
+
+    def test_five_images_up_to_a_sixteenth(self):
+        # the lags of a 4-step window at dt = 1/64 need at most level 1
+        ke = KernelEvaluator(1.0)
+        lags = np.linspace(1e-6, 1.0 / 16.0, 50)
+        assert np.all(ke._image_levels(lags) <= 1)
+        assert ke.image_tail_bound(1.0 / 16.0, 1) <= _TAIL_FRACTION * ke.abs_tol
+        # the bisected limits of levels 0 and 1 at L = 1
+        assert _image_level_limits(ke)[:2] == pytest.approx((0.015731, 0.064351), rel=1e-4)
 
     def test_limits_certify_their_count(self):
         for L in (0.5, 1.0, 2.0):
             ke = KernelEvaluator(L)
-            limits = np.array(_image_count_limits(ke))
+            limits = np.array(_image_level_limits(ke))
+            assert limits.size == 2 * ke.image_terms - 1
             assert np.all(np.diff(limits) >= 0.0)
             assert np.all(limits <= ke.crossover_time)
-            for m, t in enumerate(limits, start=1):
-                assert ke.image_tail_bound(t, m) <= 1e-3 * ke.abs_tol
-                below, above = ke._image_counts(np.array([t, math.nextafter(t, math.inf)]))
-                assert below <= m < above
+            for n, t in enumerate(limits):
+                assert ke.image_tail_bound(t, n) <= _TAIL_FRACTION * ke.abs_tol
+                below, above = ke._image_levels(np.array([t, math.nextafter(t, math.inf)]))
+                assert below <= n < above
+
+    def test_default_bound_covers_the_shifts_of_image_terms(self):
+        # the guard's bound drops the levels beyond 2*image_terms - 1
+        for terms in (1, 8):
+            ke = KernelEvaluator(1.0, image_terms=terms)
+            assert ke.image_tail_bound(0.2) == ke.image_tail_bound(0.2, 2 * terms - 1)
 
     @settings(max_examples=200, deadline=None)
     @given(L=LENGTHS, t_frac=st.floats(1e-4, 1.0, exclude_max=True), x=UNIT, y=UNIT)
     def test_own_count_within_its_bound_of_all_images(self, L, t_frac, x, y):
         ke = KernelEvaluator(L)
         t, x, y = t_frac * ke.crossover_time, x * L, y * L
-        (m,) = ke._image_counts(np.array([t]))
-        assert 1 <= m <= ke.image_terms
-        bound = ke.image_tail_bound(t, int(m))
-        if m < ke.image_terms:
-            assert bound <= 1e-3 * ke.abs_tol
+        (n,) = ke._image_levels(np.array([t]))
+        top = 2 * ke.image_terms - 1
+        assert 0 <= n <= top
+        bound = ke.image_tail_bound(t, int(n))
+        if n < top:
+            assert bound <= _TAIL_FRACTION * ke.abs_tol
         full, scale = full_image_sum(t, x, y, L)
         rounding = 64 * np.finfo(float).eps * scale
         assert abs(ke.eval(t, x, y) - full) <= bound + rounding
@@ -214,8 +232,8 @@ class TestSpectralTail:
 
 
 def straddling_times(ke, data):
-    """Times on both sides of each image-count limit and of the crossover."""
-    edges = list(_image_count_limits(ke)[:2]) + [ke.crossover_time]
+    """Times on both sides of the first image-level limits and of the crossover."""
+    edges = list(_image_level_limits(ke)[:2]) + [ke.crossover_time]
     near = [
         e * (1.0 + side * data.draw(st.floats(1e-12, 1e-3)))
         for e in edges
@@ -262,14 +280,14 @@ class TestImageSumMemory:
     def test_row_batch_peaks_at_a_few_output_arrays(self):
         # t and x per row, y per column, as the mild solver batches its jump
         # rows: the image sum works at the output's shape, one shift at a
-        # time, instead of stacking its 2M+1 shifts
+        # image at a time, instead of stacking them
         ke = KernelEvaluator(1.0)
         n, P = 200, 641
         rng = np.random.default_rng(0)
         t = rng.uniform(1e-4, 0.25, (n, 1))
         x = rng.uniform(0.0, 1.0, (n, 1))
         y = np.linspace(0.0, 1.0, P)
-        ke.eval(t, x, y)  # the image count limits are bisected once, here
+        ke.eval(t, x, y)  # the image level limits are bisected once, here
         tracemalloc.start()
         try:
             out = ke.eval(t, x, y)

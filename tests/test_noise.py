@@ -365,6 +365,31 @@ class TestConstructionInvariants:
         with pytest.raises(ParameterError):
             self._make(taus, xs, zs)
 
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize(
+        "array, bad",
+        [("taus", v) for v in (np.nan, np.inf, -np.inf, -0.1, 1.5)]
+        + [("xs", v) for v in (np.nan, np.inf, -np.inf, -0.1, 1.5)]
+        + [("zs", v) for v in (np.nan, np.inf, 0.0, 0.05, -1.5)],
+    )
+    def test_each_array_checked_at_every_position(self, array, bad, where):
+        # first, middle and last jump of five, and the only jump of one
+        data = {
+            "taus": np.array([0.1, 0.3, 0.5, 0.7, 0.9]),
+            "xs": np.array([0.0, 0.2, 0.4, 0.6, 1.0]),
+            "zs": np.array([0.5, -0.5, 1.0, -1.0, 0.06]),
+        }
+        data[array][where] = bad
+        with pytest.raises(ParameterError):
+            self._make(**data)
+        with pytest.raises(ParameterError):
+            self._make(**{name: values[where : where + 1] for name, values in data.items()})
+
+    def test_unsorted_middle_and_empty(self):
+        with pytest.raises(ParameterError):
+            self._make([0.1, 0.5, 0.3, 0.7], [0.5] * 4, [0.5] * 4)
+        assert self._make([], [], []).jump_count == 0
+
     def test_load_text_rejects_edited_file(self, tmp_path):
         path = tmp_path / "noise.txt"
         sample_noise(SYM, TruncationSpec(1.0, 0.05), DOM, 4).save_text(path)

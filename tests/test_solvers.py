@@ -40,6 +40,7 @@ from stableheat.solvers import (
     weak_form_residual,
     _LAG_MIN_FACTOR,
     _basis_matrix,
+    _grid_constants,
     _integrand_column,
     _jump_table,
     _sine_factors,
@@ -96,37 +97,43 @@ def march_windows(problem, noise, grid, window_steps=4):
     with the kernel's own lag matrices in place of the sine propagator.
     """
     T, L = problem.dom.horizon_T, problem.dom.length_L
-    dt, n_q = grid.dt(T), 4 * grid.n_x
-    ke = KernelEvaluator(length_L=L)
-    x_out = grid.nodes(L)
-    y_q, w_q = ke.quad_nodes(n_q)
-    x_all = np.concatenate([x_out, y_q])
-    factors = _sine_factors(ke, x_all, y_q, w_q, dt)
-    tables = _jump_table(ke, noise, x_all, y_q, w_q, factors[2], dt, grid.n_t, window_steps)
+    g = _grid_constants(L, T, grid)
+    ke, dt, x_all, y_q, w_q = g.ke, g.dt, g.x_all, g.y_q, g.w_q
+    n_q = y_q.size
+    tables = _jump_table(g, noise, grid.n_t, window_steps)
     kmats = lag_matrices(ke, x_all, y_q, w_q, dt, window_steps)
     gauss = None
     if problem.trunc.gaussian_correction:
         gauss = noise.gaussian_increments(grid.n_t, n_q) / (dt * w_q)
     values = np.empty((grid.n_t + 1, grid.n_x + 1))
-    values[0] = problem.init.values(x_out)
+    values[0] = problem.init.values(g.x_out)
     values[0, [0, -1]] = 0.0
     v_a_q = problem.init.values(y_q)
+    drift, phi = problem.drift.bind(), problem.noise_coef.bind()
     windows = []
     for a_idx, jumps in zip(range(0, grid.n_t, window_steps), tables):
         w = min(window_steps, grid.n_t - a_idx)
         gauss_rows = None if gauss is None else gauss[a_idx : a_idx + w]
         targets, u_left = _solve_window(
-            problem, noise, y_q, factors, a_idx, w, dt, v_a_q, jumps, gauss_rows
+            drift, phi, noise, g, a_idx, w, v_a_q, jumps, gauss_rows
         )
         values[a_idx + 1 : a_idx + w + 1] = targets[:, : grid.n_x + 1]
         window = SimpleNamespace(
-            ke=ke, x_all=x_all, y_q=y_q, w_q=w_q, factors=factors, kmats=kmats,
-            a=a_idx * dt, w=w, dt=dt, v_a_q=v_a_q, jumps=jumps[1:4],
+            ke=ke, x_all=x_all, y_q=y_q, w_q=w_q, factors=(g.basis, g.proj, g.rates),
+            kmats=kmats, a=a_idx * dt, w=w, dt=dt, v_a_q=v_a_q, jumps=jumps[1:4],
             gauss_rows=gauss_rows,
         )
         windows.append((window, targets, u_left))
         v_a_q = targets[-1, -n_q:]
     return values, windows
+
+
+def integrand(problem, noise, s, y_q, u, gauss_row):
+    """The solver's integrand column, evaluated through ``evaluate``."""
+    return _integrand_column(
+        problem.drift.evaluate, problem.noise_coef.evaluate, noise.compensator_mu,
+        s, y_q, u, gauss_row,
+    )
 
 
 def picard_sweep(problem, noise, window, targets, u_left):
@@ -145,10 +152,7 @@ def picard_sweep(problem, noise, window, targets, u_left):
     t_targets = [a + (i + 1) * dt for i in range(w)]
     sources = [v_a_q] + [targets[j - 1, -n_q:] for j in range(1, w)]
     h = [
-        _integrand_column(
-            problem, noise.compensator_mu, s, y_q, u,
-            None if gauss_rows is None else gauss_rows[j],
-        )
+        integrand(problem, noise, s, y_q, u, None if gauss_rows is None else gauss_rows[j])
         for j, (s, u) in enumerate(zip(s_times, sources))
     ]
     kick = [
@@ -207,9 +211,8 @@ def per_jump_window(problem, noise, window):
     for j in range(w):
         s_j, t_j = a + j * dt, a + (j + 1) * dt
         u_j = v_a_q if j == 0 else targets[j - 1, -n_q:]
-        h = _integrand_column(
-            problem, noise.compensator_mu, s_j, y_q, u_j,
-            None if gauss_rows is None else gauss_rows[j],
+        h = integrand(
+            problem, noise, s_j, y_q, u_j, None if gauss_rows is None else gauss_rows[j]
         )
         own = v_a_q if j == 0 else 0.0
         cols, e_ahead, first = [], [], l
@@ -320,6 +323,44 @@ class TestSineFactors:
             rounding = ulps * (N * (2.0 / L) * mass + np.abs(lag_matrix) @ np.abs(h))
             assert np.all(np.abs(applied - reference) <= certified + rounding)
             assert applied[0] == 0.0 and applied[n_x] == 0.0
+
+
+class TestGridConstants:
+    KEYS = [
+        (1.0, 1.0, GridSpec(16, 8)),
+        (1.0, 1.0, GridSpec(16, 16)),
+        (1.0, 1.0, GridSpec(32, 8)),
+        (2.0, 1.0, GridSpec(16, 8)),
+        (1.0, 0.5, GridSpec(16, 8)),
+    ]
+
+    @staticmethod
+    def arrays(g):
+        return [v for v in g if isinstance(v, np.ndarray)]
+
+    def test_each_grid_builds_its_own_read_only_constants(self):
+        built = [_grid_constants(*key) for key in self.KEYS]
+        for (L, T, grid), g in zip(self.KEYS, built):
+            assert _grid_constants(L, T, grid) is g  # built once per grid
+            ke = KernelEvaluator(length_L=L)
+            y_q, w_q = ke.quad_nodes(4 * grid.n_x)
+            x_all = np.concatenate([grid.nodes(L), y_q])
+            fresh = _sine_factors(ke, x_all, y_q, w_q, grid.dt(T))
+            assert g.dt == grid.dt(T) and g.w_q == w_q
+            assert np.array_equal(g.x_all, x_all) and np.array_equal(g.y_q, y_q)
+            for cached, want in zip((g.basis, g.proj, g.rates), fresh):
+                assert np.array_equal(cached, want)
+            assert np.array_equal(g.step, np.exp(-grid.dt(T) * g.rates))
+            assert len(self.arrays(g)) == 7
+            for arr in self.arrays(g):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr.flat[0] = 1.0
+        # no two grids share an array, or any memory
+        for i, g in enumerate(built):
+            for other in built[i + 1 :]:
+                for a in self.arrays(g):
+                    assert not any(np.shares_memory(a, b) for b in self.arrays(other))
 
 
 class TestMildContracts:
