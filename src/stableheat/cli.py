@@ -181,7 +181,7 @@ class RunConfig:
     problem: ProblemSpec
     grid: GridSpec
     solver_method: str
-    solver_window_steps: int
+    solver_window_steps: int | None  # ignored; held for perfbench (ROADMAP item 2)
     solver_modes: int
     experiments: dict
     output_dir: str
@@ -237,16 +237,17 @@ class RunConfig:
         problem = ProblemSpec(params, trunc, dom, drift, noise_coef, init)
 
         solver = raw.get("solver", {})
-        # "tol" is a v1 key with no effect: solve_mild computes the exact
-        # fixed point without iterating.  It is accepted so that existing
-        # configs still load, and it is not echoed.
+        # "tol" and "window_steps" are v1 keys with no effect: solve_mild
+        # computes the exact fixed point in one pass over the whole horizon.
+        # They are accepted so that existing configs still load, and they
+        # are not echoed.
         _require_keys(
             solver, {"method", "tol", "window_steps", "modes"}, set(), "solver"
         )
         method = solver.get("method", "mild")
         if method not in ("mild", "galerkin", "both"):
             raise ConfigError("solver.method must be one of mild, galerkin, both")
-        window_steps = _number(int, solver, "window_steps", "solver", 4)
+        window_steps = _number(int, solver, "window_steps", "solver")
         modes = _number(int, solver, "modes", "solver", min(16, grid.n_x // 4))
 
         experiments = raw.get("experiments", {})
@@ -268,11 +269,7 @@ class RunConfig:
                 "noise_coef": canonical["noise_coef"],
             },
             "initial": canonical["init"],
-            "solver": {
-                "method": method,
-                "window_steps": window_steps,
-                "modes": modes,
-            },
+            "solver": {"method": method, "modes": modes},
             "experiments": experiments,
             "output_dir": raw.get("output_dir", "stableheat-out"),
         }
@@ -356,9 +353,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
         cfg.problem.params, cfg.problem.trunc, cfg.problem.dom, cfg.master_seed
     )
     solvers = {
-        "mild": lambda: solve_mild(
-            cfg.problem, realization, cfg.grid, window_steps=cfg.solver_window_steps
-        ),
+        "mild": lambda: solve_mild(cfg.problem, realization, cfg.grid),
         "galerkin": lambda: spectral_to_grid(
             solve_galerkin(cfg.problem, realization, cfg.solver_modes, cfg.grid), cfg.grid
         ),
@@ -398,7 +393,6 @@ def _run_one_experiment(name: str, section, cfg: RunConfig, threads: int):
         else cfg.grid
     )
     problem = cfg.problem
-    ws = cfg.solver_window_steps
     if name == "stopping_law":
         _require_keys(section, {"K", "n_paths", "observe_factor"}, {"K", "n_paths"}, name)
         return exp.run_stopping_law(
@@ -419,7 +413,6 @@ def _run_one_experiment(name: str, section, cfg: RunConfig, threads: int):
             _number(float, section, "K_large", name),
             grid,
             n_paths=_number(int, section, "n_paths", name, 1),
-            window_steps=ws,
         )
     if name == "galerkin_convergence":
         _require_keys(section, {"m_list"}, {"m_list"}, name)
@@ -428,7 +421,7 @@ def _run_one_experiment(name: str, section, cfg: RunConfig, threads: int):
             raise ConfigError(f"{name}.m_list must be a list of integers, got {m_list!r}")
         m_list = [_scalar(int, m, f"{name}.m_list[{i}]") for i, m in enumerate(m_list)]
         return exp.run_galerkin_convergence(
-            problem, cfg.master_seed, m_list, grid, window_steps=ws, threads=threads
+            problem, cfg.master_seed, m_list, grid, threads=threads
         )
     if name == "moment_estimate":
         _require_keys(section, {"n_paths", "p"}, {"n_paths"}, name)
@@ -439,7 +432,6 @@ def _run_one_experiment(name: str, section, cfg: RunConfig, threads: int):
             _number(float, section, "p", name, 2.0),
             cfg.master_seed,
             threads=threads,
-            window_steps=ws,
         )
     if name == "comparison":
         _require_keys(section, {"n_paths", "problem_u", "tol"}, {"n_paths", "problem_u"}, name)
@@ -470,7 +462,6 @@ def _run_one_experiment(name: str, section, cfg: RunConfig, threads: int):
             cfg.master_seed,
             tol=_number(float, section, "tol", name),
             threads=threads,
-            window_steps=ws,
         )
     if name == "nonnegativity":
         _require_keys(section, {"n_paths", "tol"}, {"n_paths"}, name)
@@ -481,7 +472,6 @@ def _run_one_experiment(name: str, section, cfg: RunConfig, threads: int):
             cfg.master_seed,
             tol=_number(float, section, "tol", name),
             threads=threads,
-            window_steps=ws,
         )
     raise ConfigError(f"unknown experiment {name!r}")
 

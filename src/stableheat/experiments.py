@@ -215,9 +215,8 @@ def _empty_realization(params, dom, big_cutoff) -> NoiseRealization:
     )
 
 
-def calibrate_grid_error(
-    problem: ProblemSpec, grid: GridSpec, *, window_steps: int = 4
-) -> float:
+# window_steps is accepted and ignored: perfbench/rep.py passes it (ROADMAP item 2).
+def calibrate_grid_error(problem: ProblemSpec, grid: GridSpec, *, window_steps=None) -> float:
     """Observed sup-error of a deterministic analytically-solvable case.
 
     The calibration case keeps the problem's domain and grid but swaps
@@ -237,7 +236,7 @@ def calibrate_grid_error(
         noise_coef=zero(),
         init=ic_sine_mode(1, 1.0, L),
     )
-    sol = solve_mild(calib_problem, calib, grid, window_steps=window_steps)
+    sol = solve_mild(calib_problem, calib, grid)
     lam = (math.pi / L) ** 2 / 2.0
     times = grid.times(T)
     amp = np.exp(-lam * times) + forcing_amp * (1.0 - np.exp(-lam * times)) / lam
@@ -312,7 +311,6 @@ def run_comparison(
     tol: float | None = None,
     *,
     threads: int = 1,
-    window_steps: int = 4,
 ) -> ExperimentReport:
     """Pathwise ordering of two solutions solved on the same noise.
 
@@ -363,7 +361,7 @@ def run_comparison(
         )
 
     if tol is None:
-        tol = 10.0 * calibrate_grid_error(problem_u, grid, window_steps=window_steps)
+        tol = 10.0 * calibrate_grid_error(problem_u, grid)
     dx = grid.dx(L)
     energy_cap = tol * tol * L
 
@@ -371,8 +369,8 @@ def run_comparison(
         rn = sample_noise(
             problem_u.params, problem_u.trunc, problem_u.dom, path_seed(seed, i)
         )
-        u = solve_mild(problem_u, rn, grid, window_steps=window_steps)
-        v = solve_mild(problem_v, rn, grid, window_steps=window_steps)
+        u = solve_mild(problem_u, rn, grid)
+        v = solve_mild(problem_v, rn, grid)
         diff = u.values - v.values
         viol = float(max(0.0, diff.max()))
         energy = max(positive_part_energy(row, dx) for row in diff)
@@ -417,7 +415,6 @@ def run_nonnegativity(
     tol: float | None = None,
     *,
     threads: int = 1,
-    window_steps: int = 4,
 ) -> ExperimentReport:
     """Solutions from non-negative data stay above -tol on every path.
 
@@ -438,7 +435,7 @@ def run_nonnegativity(
             )
     problem.validate()
     if tol is None:
-        tol = 10.0 * calibrate_grid_error(problem, grid, window_steps=window_steps)
+        tol = 10.0 * calibrate_grid_error(problem, grid)
 
     zero_case = problem.init.family == "zero"
 
@@ -446,7 +443,7 @@ def run_nonnegativity(
         rn = sample_noise(
             problem.params, problem.trunc, problem.dom, path_seed(seed, i)
         )
-        u = solve_mild(problem, rn, grid, window_steps=window_steps)
+        u = solve_mild(problem, rn, grid)
         exact_zero = bool(np.all(u.values == 0.0)) if zero_case else False
         return float(u.values.min()), exact_zero
 
@@ -481,7 +478,6 @@ def run_consistency(
     grid: GridSpec,
     *,
     n_paths: int = 1,
-    window_steps: int = 4,
 ) -> ExperimentReport:
     """Coupled solves at two cutoffs agree before the first excess jump.
 
@@ -515,18 +511,8 @@ def run_consistency(
         rn = sample_noise(problem.params, trunc, problem.dom, seed_i)
         r_small = noise_mod.restrict(rn, K_small)
         r_large = noise_mod.restrict(rn, K_large)
-        u_small = solve_mild(
-            problem.with_truncation(r_small.truncation),
-            r_small,
-            grid,
-            window_steps=window_steps,
-        )
-        u_large = solve_mild(
-            problem.with_truncation(r_large.truncation),
-            r_large,
-            grid,
-            window_steps=window_steps,
-        )
+        u_small = solve_mild(problem.with_truncation(r_small.truncation), r_small, grid)
+        u_large = solve_mild(problem.with_truncation(r_large.truncation), r_large, grid)
         r_stop = stopping_time(r_large, K_small)
         i_max = grid.n_t if math.isinf(r_stop) else max(
             0, int(math.ceil(r_stop / dt - 1e-12)) - 1
@@ -575,7 +561,6 @@ def run_galerkin_convergence(
     m_list,
     grid: GridSpec,
     *,
-    window_steps: int = 4,
     threads: int = 1,
 ) -> ExperimentReport:
     """Mode-truncation error against the mild solve on one shared path.
@@ -598,7 +583,7 @@ def run_galerkin_convergence(
     problem.validate()
     rn = sample_noise(problem.params, problem.trunc, problem.dom, noise_seed)
     (mild,) = _map_paths(
-        lambda i: solve_mild(problem, rn, grid, window_steps=window_steps),
+        lambda i: solve_mild(problem, rn, grid),
         1, 1, "galerkin_convergence path",
     )
     dx = grid.dx(problem.dom.length_L)
@@ -642,7 +627,6 @@ def run_moment_estimate(
     seed: int,
     *,
     threads: int = 1,
-    window_steps: int = 4,
 ) -> ExperimentReport:
     """Monte Carlo estimate of the peak p-th moment of the solution norm.
 
@@ -663,7 +647,7 @@ def run_moment_estimate(
         rn = sample_noise(
             problem.params, problem.trunc, problem.dom, path_seed(seed, i)
         )
-        u = solve_mild(problem, rn, grid, window_steps=window_steps)
+        u = solve_mild(problem, rn, grid)
         return np.array([grid_lp_norm_p(row, dx, p) for row in u.values])
 
     norms = np.stack(_map_paths(worker, 2 * n_paths, threads, "moment_estimate path"))

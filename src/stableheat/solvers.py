@@ -1,21 +1,23 @@
 """Two independent solvers for the truncated jump-driven heat equation.
 
-``solve_mild`` solves the heat-kernel integral form of the equation on
-successive time windows.  Within a window the map is strictly causal:
-drift integrals use left-endpoint quadrature on the grid times, and each
-jump reads the state at its own left limit, so the discretized map is
-strictly lower triangular in event order.  One lag rule splits the
-propagator: every value read at a lag of one step or more comes from N
-sine modes, where G_t is diagonal and N is certified by the kernel's
-series tail bound at one step and so at every longer lag; only the
-shorter lags (a jump's own step, and jump-jump pairs in one window) use
-the kernel's image sum, evaluated once per solve since the jumps are
-known before any state is; where dt <= 0.0157 L^2 (n_t >= 64 at
-T = L^2) those lags sum the three nearest images only.  What depends on the
-grid alone (quadrature nodes, sine factors, step decay) is built once per
-grid and shared read-only, and a solve binds its two coefficient
-formulas once.  Two consequences of causality are exploited
-deliberately:
+``solve_mild`` solves the heat-kernel integral form of the equation in
+one pass over the whole horizon, with no time windows.  The map is
+strictly causal: drift integrals use left-endpoint quadrature on the
+grid times, and each jump reads the state at its own left limit, so the
+discretized map is strictly lower triangular in event order.  One lag
+rule splits the propagator: the N sine modes, where G_t is diagonal, are
+read only at lags of one step or more, since N is certified by the
+kernel's series tail bound at one step and so at every longer lag.  Two
+mode vectors carry the state: one holds everything at or before the
+previous grid time, the other the jumps of the last step, folded into
+the first one step later.  A jump's own step and its pairs with the
+jumps of its own step and the step before use the kernel's image sum,
+evaluated once per solve since the jumps are known before any state is;
+where dt <= 0.0157 L^2 (n_t >= 64 at T = L^2) own-step lags sum the
+three nearest images only.  What depends on the grid alone (quadrature
+nodes, sine factors, step decay) is built once per grid and shared
+read-only, and a solve binds its two coefficient formulas once.  Two
+consequences of causality are exploited deliberately:
 
 * one forward pass in time order computes the exact fixed point of the
   map, with no iteration and no tolerance (the cross-cutoff consistency
@@ -135,9 +137,7 @@ class GridSolution:
     values: np.ndarray  # shape (n_t + 1, n_x + 1)
     problem: ProblemSpec
     grid: GridSpec
-    # Passes per mild-solver window: always 1, since the causal march
-    # never iterates.  perfbench/tracing.py counts windows and sweeps
-    # from this list, and its smoke test requires those counters.
+    # [1] per mild solve, which never iterates; held for perfbench (ROADMAP item 2).
     picard_iterations: list = field(default_factory=list)
     solver_tag: str = "mild"
 
@@ -268,35 +268,34 @@ def _integrand_column(drift, phi, mu, s, y_q, u, gauss_row):
     return col
 
 
-def _jump_table(g, noise, n_t, window_steps):
-    """What the causal march reads of the jumps, one tuple per window, on
-    the grid ``g`` of n_t steps.
+def _jump_table(g, noise, n_t):
+    """What the causal march reads of the jumps on the grid ``g`` of n_t steps.
 
     None of it depends on the state, so a solve builds it once, with one
-    ``eval`` call per kind.  Step i = a_idx + slot spans (a_idx*dt +
-    slot*dt, a_idx*dt + (slot+1)*dt]; one searchsorted on the right ends
-    puts each jump in exactly one step (one past the last right end in the
-    last), back after its left end and ahead before its right end.  A window's tuple
-    holds first (the jumps of its step j are first[j]:first[j+1]) and, per
-    time-sorted jump l, t, x, z, back, near[l] = back_l < lag_min (there
-    the kernel acts as the identity), rows[l] = G(back_l, x_l, y_q) * w_q
-    (zero where near), jj[l][k] = G(t_l - t_k, x_l, x_k) for the window's
-    jumps k < l (zero at equal times; pairs in different windows are never
-    evaluated), cols[l] = G(max(ahead_l, 1e-18), x_all, x_l) and the modes
-    e_back[l], e_ahead[l] = exp(-back_l rates) e(x_l), exp(-ahead_l rates) e(x_l).
+    ``eval`` call per kind.  Step j spans (j*dt, (j+1)*dt]; one
+    searchsorted on the right ends puts each jump in exactly one step (one
+    past the last right end in the last), back after its left end and
+    ahead before its right end.  The table holds first (the jumps of step
+    j are first[j]:first[j+1]) and, per time-sorted jump l, t, x, z, back,
+    near[l] = back_l < lag_min (there the kernel acts as the identity),
+    rows[l] = G(back_l, x_l, y_q) * w_q (zero where near), jj[l][k] =
+    G(t_l - t_k, x_l, x_k) for the jumps k < l of its own step and the
+    step before, from the first of them on (zero at equal times; older
+    pairs are read in modes), cols[l] = G(max(ahead_l, 1e-18), x_all, x_l)
+    and the modes e_back[l], e_ahead[l] = exp(-back_l rates) e(x_l),
+    exp(-ahead_l rates) e(x_l).
     """
     ke, x_all, y_q, w_q, rates, dt = g.ke, g.x_all, g.y_q, g.w_q, g.rates, g.dt
     t, x, z = noise.taus, noise.xs, noise.zs
     step = np.arange(n_t)
-    a_idx = step - step % window_steps
-    slot = step - a_idx
-    right = a_idx * dt + (slot + 1) * dt
+    right = (step + 1) * dt
     in_step = np.minimum(np.searchsorted(right, t, "left"), n_t - 1)
     first = np.searchsorted(in_step, np.arange(n_t + 1), "left")
-    back = t - (a_idx * dt + slot * dt)[in_step]
+    back = t - (step * dt)[in_step]
     ahead = right[in_step] - t
-    # Jump l pairs with the earlier jumps k = start_l .. l-1 of its window.
-    start = first[a_idx[in_step]]
+    # Jump l pairs with the earlier jumps k = start_l .. l-1 of its own
+    # step and the step before.
+    start = first[np.maximum(in_step - 1, 0)]
     count = np.arange(t.size) - start
     offset = np.concatenate(([0], np.cumsum(count)))
     pair_l = np.repeat(np.arange(t.size), count)
@@ -310,87 +309,91 @@ def _jump_table(g, noise, n_t, window_steps):
         rows[~near] = ke.eval(back[~near, None], x[~near, None], y_q) * w_q
         jj[earlier] = ke.eval(lag[earlier], x[pair_l[earlier]], x[pair_k[earlier]])
     e_jump = _basis_matrix(x, rates.size, ke.length_L)
-    per_jump = (
-        t, x, z, back, near, rows, [jj[i:k] for i, k in zip(offset[:-1], offset[1:])], cols,
-        np.exp(-back[:, None] * rates) * e_jump, np.exp(-ahead[:, None] * rates) * e_jump,
+    return (
+        first, t, x, z, back, near, rows, [jj[i:k] for i, k in zip(offset[:-1], offset[1:])],
+        cols, np.exp(-back[:, None] * rates) * e_jump, np.exp(-ahead[:, None] * rates) * e_jump,
     )
-    windows = []
-    for a in range(0, n_t, window_steps):
-        steps = first[a : a + window_steps + 1]
-        windows.append((steps - steps[0],) + tuple(f[steps[0] : steps[-1]] for f in per_jump))
-    return windows
 
 
-def _solve_window(drift, phi, noise, g, a_idx, w, v_a_q, jumps, gauss_rows):
-    """The mild map on one window of w grid steps, solved in one causal pass.
+def _march(drift, phi, noise, g, v0_q, jumps, gauss, out):
+    """The mild map over the whole horizon, solved in one causal pass.
 
     ``drift`` and ``phi`` are the bound coefficient formulas, ``g`` the
-    grid's ``_Grid`` and ``jumps`` the window's tuple from ``_jump_table``.
-    Every value read at a lag of one step or more is read from the N sine
-    modes; only a jump's own step (its row on the step's source, its
-    column on the step's target) and jump-jump pairs use the image sum,
-    precomputed in ``jumps``.  Returns (targets, u_left): targets has
-    shape (w, len(x_all)) and u_left holds the state at each jump's left
+    grid's ``_Grid``, ``v0_q`` the initial data on y_q, ``jumps`` the
+    tuple from ``_jump_table`` and ``gauss`` the scaled Gaussian field (or
+    None).  Two N-vectors of sine modes carry the state: ``c`` holds the
+    initial data, the drift sources and every jump at or before s_(j-1),
+    propagated to s_j; ``c_prev`` holds the jumps of step j-1 at s_j and
+    is folded into ``c`` by the next step factor, so nothing is read from
+    the modes at a lag below dt.  A jump's own step (its row on the step's
+    source, its column on the step's target) and jump-jump pairs in its
+    own step and the step before use the image sum, precomputed in
+    ``jumps``.  Step j's target on x_all is built in one buffer: its first
+    ``out.shape[1]`` values go to ``out[j]`` and its values on y_q are the
+    next step's source.  Returns u_left, the state at each jump's left
     limit.
     """
     dt, y_q, basis, proj, step = g.dt, g.y_q, g.basis, g.proj, g.step
-    a = a_idx * dt
-    n_q = y_q.size
+    n_q, n_out = y_q.size, out.shape[1]
     mu = noise.compensator_mu
     first, jt, jx, jz, back, near, rows, jj, cols, e_back, e_ahead = jumps
-    c_src = np.zeros(step.size)  # v_a and the drift sources before s_j, at s_j
-    c_jump = np.zeros(step.size)  # the window's jumps at or before s_j, at s_j
-    targets = np.empty((w, basis.shape[0]))
+    n_t = first.size - 1
+    c, c_prev = np.zeros(step.size), 0.0
+    u_j = v0_q  # the state on y_q at s_j
+    bad = np.zeros(n_t, bool)  # steps whose target is non-finite
+    probe = np.zeros(basis.shape[0])  # target @ probe is nan iff target is non-finite
     u_left = np.empty(jx.size)
     kick = np.empty(jx.size)  # phi(tau-, x, u(tau-)) * z per jump
-    for j in range(w):
+    for j in range(n_t):
         # Every source and jump up to s_j has reached s_j: the state is final.
-        u_j = v_a_q if j == 0 else targets[j - 1, -n_q:]
         h = _integrand_column(
-            drift, phi, mu, a + j * dt, y_q, u_j,
-            None if gauss_rows is None else gauss_rows[j],
+            drift, phi, mu, j * dt, y_q, u_j, None if gauss is None else gauss[j]
         )
-        own = v_a_q if j == 0 else 0.0  # v_a is read like step 0's source
+        own = v0_q if j == 0 else 0.0  # v_0 is read like step 0's source
         now = slice(first[j], first[j + 1])
+        older = first[max(j - 1, 0)]
         # Jumps in (s_j, s_(j+1)], in time order: each reads its own step's
-        # source on the image sum, the older sources in modes, and the
-        # window's earlier jumps on the image sum.
+        # source on the image sum, the older state in modes, and the jumps
+        # of its own step and the step before on the image sum.
         for l in range(now.start, now.stop):
             vec = own + back[l] * h
             val = float(np.interp(jx[l], y_q, vec)) if near[l] else float(rows[l] @ vec)
-            val += float(e_back[l] @ c_src) + float(jj[l] @ kick[:l])
+            val += float(e_back[l] @ c) + float(jj[l] @ kick[older:l])
             u_left[l] = val
             kick[l] = float(phi(jt[l], jx[l], val)) * jz[l]
-        c_src = step * (c_src + proj @ (own + dt * h))
-        targets[j] = (c_src + step * c_jump) @ basis.T
-        c_jump = step * c_jump
+        c = step * (c + c_prev + proj @ (own + dt * h))
+        target = c @ basis.T
+        c_prev = 0.0
         if now.start < now.stop:  # a step without jumps adds nothing
-            targets[j] += kick[now] @ cols[now]
-            c_jump += kick[now] @ e_ahead[now]
+            target += kick[now] @ cols[now]
+            c_prev = kick[now] @ e_ahead[now]
+        bad[j] = math.isnan(target @ probe)  # a third the cost of np.isfinite().all()
+        out[j] = target[:n_out]
+        u_j = target[-n_q:]
 
-    if not (np.isfinite(targets).all() and np.isfinite(u_left).all()):
+    bad[np.repeat(np.arange(n_t), np.diff(first))[~np.isfinite(u_left)]] = True
+    if bad.any():
+        j = int(np.argmax(bad))
         raise BlowUpError(
-            f"non-finite state in window ({a:.6g}, {a + w * dt:.6g}] of the "
+            f"non-finite state in step ({j * dt:.6g}, {(j + 1) * dt:.6g}] of the "
             f"mild solve, noise seed {noise.seed}",
             path_seed=noise.seed,
         )
-    return targets, u_left
+    return u_left
 
 
 def solve_mild(
     problem: ProblemSpec,
     noise: NoiseRealization,
     grid: GridSpec,
-    *,
-    window_steps: int = 4,
 ) -> GridSolution:
     """Discretized heat-kernel integral equation, solved in one causal pass.
 
-    Per window of ``window_steps`` grid steps the solution satisfies
+    On the grid times s_j = j*dt the solution satisfies
 
-        u(t) = G_(t-a) u(a) + sum_s dt * G_(t-s)[f - mu*phi](s, ., u(s))
-               + sum_(a < tau_j <= t) G_(t-tau_j)(., x_j) phi(tau_j-, x_j,
-                 u(tau_j-, x_j)) z_j
+        u(t) = G_t u_0 + sum_(s_j < t) dt * G_(t-s_j)[f - mu*phi](s_j, ., u(s_j))
+               + sum_(tau_l <= t) G_(t-tau_l)(., x_l) phi(tau_l-, x_l,
+                 u(tau_l-, x_l)) z_l
 
     with left-endpoint drift sources and each jump read at its own left
     limit.  The map is strictly lower triangular in event order, so one
@@ -399,14 +402,10 @@ def solve_mild(
     The grid's constants come from ``_grid_constants``, built once per
     grid, and f and phi are bound once per solve.
     """
-    if window_steps < 1:
-        raise ParameterError("window_steps must be >= 1")
     _check_noise_matches(problem, noise)
 
     n_t, n_x = grid.n_t, grid.n_x
     g = _grid_constants(problem.dom.length_L, problem.dom.horizon_T, grid)
-    tables = _jump_table(g, noise, n_t, window_steps)
-
     gauss = None
     if problem.trunc.gaussian_correction:
         # Scaled so that adding phi*gauss to the drift integrand
@@ -416,24 +415,16 @@ def solve_mild(
     values = np.empty((n_t + 1, n_x + 1))
     values[0] = problem.init.values(g.x_out)
     values[0, [0, -1]] = 0.0
-
-    drift, phi = problem.drift.bind(), problem.noise_coef.bind()
-    v_a_q = problem.init.values(g.y_q)
-    windows = range(0, n_t, window_steps)
-    for a_idx, jumps in zip(windows, tables):
-        w = min(window_steps, n_t - a_idx)
-        gauss_rows = gauss[a_idx : a_idx + w] if gauss is not None else None
-        targets, _ = _solve_window(
-            drift, phi, noise, g, a_idx, w, v_a_q, jumps, gauss_rows
-        )
-        values[a_idx + 1 : a_idx + w + 1] = targets[:, : n_x + 1]
-        v_a_q = targets[-1, -g.y_q.size :]
+    _march(
+        problem.drift.bind(), problem.noise_coef.bind(), noise, g,
+        problem.init.values(g.y_q), _jump_table(g, noise, n_t), gauss, values[1:],
+    )
 
     return GridSolution(
         values=values,
         problem=problem,
         grid=grid,
-        picard_iterations=[1] * len(windows),
+        picard_iterations=[1],
         solver_tag="mild",
     )
 
@@ -508,14 +499,16 @@ def solve_galerkin(
     a = basis.T @ (w_q * problem.init.values(y_q))
     coeffs = np.empty((n_t + 1, m))
     coeffs[0] = a
+    drift, phi = problem.drift.bind(), problem.noise_coef.bind()
 
     def advance(a_vec, t_left, delta, step_idx):
         if delta <= 0.0:
             return a_vec
         u_q = basis @ a_vec
-        b = basis.T @ (w_q * np.asarray(problem.drift.evaluate(t_left, y_q, u_q), float))
+        # a zero or constant drift gives a scalar; basis.T needs a column
+        b = basis.T @ (w_q * np.broadcast_to(drift(t_left, y_q, u_q), y_q.shape))
         if mu != 0.0 or gauss is not None:
-            pv = np.asarray(problem.noise_coef.evaluate(t_left, y_q, u_q), float)
+            pv = phi(t_left, y_q, u_q)
             if mu != 0.0:
                 b = b - mu * (basis.T @ (w_q * pv * comp_profile))
             if gauss is not None:
@@ -533,7 +526,7 @@ def solve_galerkin(
             tau = float(taus[jump_idx])
             a = advance(a, t_cur, tau - t_cur, i)
             u_q = basis @ a
-            pv = np.asarray(problem.noise_coef.evaluate(tau, y_q, u_q), float)
+            pv = phi(tau, y_q, u_q)
             spike = basis @ increments[jump_idx]
             a = a + basis.T @ (w_q * pv * spike)
             t_cur = tau

@@ -125,7 +125,7 @@ class TestSolve:
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("method, where", [
-        ("mild", r"window \([\d.]+, [\d.]+\] of the mild solve"),
+        ("mild", r"step \([\d.]+, [\d.]+\] of the mild solve"),
         ("galerkin", r"step \([\d.]+, [\d.]+\] of the 2-mode Galerkin solve"),
     ], ids=["mild", "galerkin"])
     def test_blow_up_names_seed_and_time_window(self, tmp_path, capsys, method, where):
@@ -395,7 +395,7 @@ class TestVerify:
         err = capsys.readouterr().err
         assert f"{experiment} path 0:" in err, err
         assert f"noise seed {seed}" in err, err
-        assert re.search(r"window \([\d.]+, [\d.]+\] of the mild solve", err), err
+        assert re.search(r"step \([\d.]+, [\d.]+\] of the mild solve", err), err
 
     @pytest.mark.parametrize(
         "experiments, where",
@@ -479,6 +479,35 @@ class TestVerify:
         }
         noise_coef = RunConfig.parse(raw).problem.noise_coef
         assert noise_coef.monotone_in_u is declared
+
+    def test_window_steps_accepted_and_ignored(self, tmp_path):
+        # a v1 key with no effect: every output but the wall-time sidecars
+        # is byte-identical whatever it says, and it is not echoed
+        experiments = {
+            "consistency": {"K_small": 0.5, "K_large": 1.0, "n_paths": 2},
+            "galerkin_convergence": {"m_list": [1, 2]},
+            "moment_estimate": {"n_paths": 2},
+            "nonnegativity": {"n_paths": 2},
+        }
+        outputs = []
+        for i, solver in enumerate(
+            ({"window_steps": 1}, {"window_steps": 4}, {"method": "mild"})
+        ):
+            cfg = write_config(
+                tmp_path,
+                {"solver": solver, "experiments": experiments},
+                name=f"config{i}.json",
+            )
+            out = tmp_path / f"o{i}"
+            main(["verify", "--config", str(cfg), "--out", str(out)])
+            outputs.append({
+                p.relative_to(out).as_posix(): p.read_bytes()
+                for p in sorted(out.rglob("*"))
+                if p.is_file() and not p.name.endswith("_timing.json")
+            })
+        assert len(outputs[0]) > 8
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert "window_steps" not in outputs[0]["effective_config.json"].decode()
 
     def test_effective_config_echoed_with_defaults(self, tmp_path):
         cfg = write_config(

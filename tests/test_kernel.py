@@ -143,7 +143,7 @@ class TestImageCount:
         assert ke.image_tail_bound(1.0 / 64.0, 0) <= _TAIL_FRACTION * ke.abs_tol
 
     def test_five_images_up_to_a_sixteenth(self):
-        # the lags of a 4-step window at dt = 1/64 need at most level 1
+        # the jump-jump lags of two adjacent steps at dt <= 1/32 need at most level 1
         ke = KernelEvaluator(1.0)
         lags = np.linspace(1e-6, 1.0 / 16.0, 50)
         assert np.all(ke._image_levels(lags) <= 1)

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -43,8 +44,8 @@ from stableheat.solvers import (
     _grid_constants,
     _integrand_column,
     _jump_table,
+    _march,
     _sine_factors,
-    _solve_window,
 )
 
 SYM = StableParams(1.5, 0.5, 0.5)
@@ -81,51 +82,46 @@ HEAT_RATE = math.pi**2 / 2.0
 ASYM = StableParams(1.5, 1.0, 0.0)
 
 
-def lag_matrices(ke, x_all, y_q, w_q, dt, max_lag):
-    """G_(k*dt)(x_all, y_q) * w_q from ``ke.eval`` for k = 1..max_lag: the
-    kernel the solver's sine propagator stands in for."""
-    return np.stack(
-        [ke.eval(k * dt, x_all[:, None], y_q[None, :]) * w_q for k in range(1, max_lag + 1)]
-    )
+@functools.lru_cache(maxsize=4)
+def lag_matrices(L, T, grid):
+    """G_(k*dt)(x_all, y_q) * w_q on the image sum for k = 1..n_t: the
+    kernel the solver's sine propagator stands in for, at every grid lag."""
+    g = _grid_constants(L, T, grid)
+    ke = KernelEvaluator(length_L=L, method="image_sum")
+    return np.stack([
+        ke.eval(k * g.dt, g.x_all[:, None], g.y_q[None, :]) * g.w_q
+        for k in range(1, grid.n_t + 1)
+    ])
 
 
-def march_windows(problem, noise, grid, window_steps=4):
-    """Grid values and a (window, targets, u_left) triple per window.
+def march(problem, noise, grid):
+    """Grid values, the march's inputs, and its targets and left limits.
 
-    Repeats solve_mild's set-up and window loop around the private
-    per-window march; ``window`` holds the inputs a Picard sweep needs,
-    with the kernel's own lag matrices in place of the sine propagator.
+    Repeats solve_mild's set-up around the private whole-horizon march;
+    ``inputs`` holds what a Picard sweep needs, with the kernel's own lag
+    matrices at every grid lag in place of the sine propagator.
     """
     T, L = problem.dom.horizon_T, problem.dom.length_L
     g = _grid_constants(L, T, grid)
     ke, dt, x_all, y_q, w_q = g.ke, g.dt, g.x_all, g.y_q, g.w_q
-    n_q = y_q.size
-    tables = _jump_table(g, noise, grid.n_t, window_steps)
-    kmats = lag_matrices(ke, x_all, y_q, w_q, dt, window_steps)
+    jumps = _jump_table(g, noise, grid.n_t)
     gauss = None
     if problem.trunc.gaussian_correction:
-        gauss = noise.gaussian_increments(grid.n_t, n_q) / (dt * w_q)
+        gauss = noise.gaussian_increments(grid.n_t, y_q.size) / (dt * w_q)
     values = np.empty((grid.n_t + 1, grid.n_x + 1))
     values[0] = problem.init.values(g.x_out)
     values[0, [0, -1]] = 0.0
-    v_a_q = problem.init.values(y_q)
+    v0_q = problem.init.values(y_q)
     drift, phi = problem.drift.bind(), problem.noise_coef.bind()
-    windows = []
-    for a_idx, jumps in zip(range(0, grid.n_t, window_steps), tables):
-        w = min(window_steps, grid.n_t - a_idx)
-        gauss_rows = None if gauss is None else gauss[a_idx : a_idx + w]
-        targets, u_left = _solve_window(
-            drift, phi, noise, g, a_idx, w, v_a_q, jumps, gauss_rows
-        )
-        values[a_idx + 1 : a_idx + w + 1] = targets[:, : grid.n_x + 1]
-        window = SimpleNamespace(
-            ke=ke, x_all=x_all, y_q=y_q, w_q=w_q, factors=(g.basis, g.proj, g.rates),
-            kmats=kmats, a=a_idx * dt, w=w, dt=dt, v_a_q=v_a_q, jumps=jumps[1:4],
-            gauss_rows=gauss_rows,
-        )
-        windows.append((window, targets, u_left))
-        v_a_q = targets[-1, -n_q:]
-    return values, windows
+    targets = np.empty((grid.n_t, x_all.size))
+    u_left = _march(drift, phi, noise, g, v0_q, jumps, gauss, targets)
+    values[1:] = targets[:, : grid.n_x + 1]
+    inputs = SimpleNamespace(
+        ke=ke, x_all=x_all, y_q=y_q, w_q=w_q, factors=(g.basis, g.proj, g.rates),
+        kmats=lag_matrices(L, T, grid), n_t=grid.n_t, dt=dt,
+        v0_q=v0_q, jumps=jumps[1:4], gauss=gauss,
+    )
+    return values, inputs, targets, u_left
 
 
 def integrand(problem, noise, s, y_q, u, gauss_row):
@@ -136,87 +132,83 @@ def integrand(problem, noise, s, y_q, u, gauss_row):
     )
 
 
-def picard_sweep(problem, noise, window, targets, u_left):
-    """One successive-substitution sweep of the windowed mild map.
+def picard_sweep(problem, noise, inputs, targets, u_left):
+    """One successive-substitution sweep of the mild map on the whole horizon.
 
-    Every term reads the previous iterate (targets on x_all at the w
+    Every term reads the previous iterate (targets on x_all at the n_t
     grid times, u_left at the jumps), never the one being built, so a
     state is the map's fixed point exactly when the sweep returns it.
+    Every lag, however long, is read on the kernel's image sum (``ke.eval``
+    and its lag matrices), never from the solver's sine modes.
     """
-    ke, x_all, y_q, w_q = window.ke, window.x_all, window.y_q, window.w_q
-    kmats, a, w, dt = window.kmats, window.a, window.w, window.dt
-    v_a_q, gauss_rows = window.v_a_q, window.gauss_rows
-    jt, jx, jz = window.jumps
+    x_all, y_q, w_q = inputs.x_all, inputs.y_q, inputs.w_q
+    ke = KernelEvaluator(length_L=inputs.ke.length_L, method="image_sum")
+    kmats, n_t, dt = inputs.kmats, inputs.n_t, inputs.dt
+    v0_q, gauss = inputs.v0_q, inputs.gauss
+    jt, jx, jz = inputs.jumps
     n_q = y_q.size
-    s_times = [a + j * dt for j in range(w)]
-    t_targets = [a + (i + 1) * dt for i in range(w)]
-    sources = [v_a_q] + [targets[j - 1, -n_q:] for j in range(1, w)]
+    s_times = np.arange(n_t) * dt
+    t_targets = (np.arange(n_t) + 1) * dt
+    sources = [v0_q] + [targets[j - 1, -n_q:] for j in range(1, n_t)]
     h = [
-        integrand(problem, noise, s, y_q, u, None if gauss_rows is None else gauss_rows[j])
+        integrand(problem, noise, s, y_q, u, None if gauss is None else gauss[j])
         for j, (s, u) in enumerate(zip(s_times, sources))
     ]
-    kick = [
+    kick = np.array([
         float(problem.noise_coef.evaluate(t, x, u)) * z
         for t, x, u, z in zip(jt, jx, u_left, jz)
-    ]
+    ])
 
     new_targets = np.empty_like(targets)
-    for i in range(w):
-        acc = kmats[i] @ v_a_q
+    for i in range(n_t):
+        acc = kmats[i] @ v0_q
         for j in range(i + 1):
             acc = acc + dt * (kmats[i - j] @ h[j])
-        for l in range(jt.size):
-            if jt[l] <= t_targets[i]:
-                lag = max(t_targets[i] - jt[l], 1e-18)
-                acc = acc + ke.eval(lag, x_all, jx[l]) * kick[l]
-        new_targets[i] = acc
-
-    def at_jump(lag, x_pt, vec):
-        if lag < _LAG_MIN_FACTOR * w_q * w_q:  # kernel acts as the identity
-            return float(np.interp(x_pt, y_q, vec))
-        return float(ke.eval(lag, x_pt, y_q) @ vec) * w_q
+        seen = jt <= t_targets[i]
+        lags = np.maximum(t_targets[i] - jt[seen], 1e-18)
+        new_targets[i] = acc + kick[seen] @ ke.eval(lags[:, None], x_all, jx[seen, None])
 
     new_left = np.empty_like(u_left)
     for l in range(jt.size):
-        val = at_jump(jt[l] - a, jx[l], v_a_q)
-        for j in range(w):
-            if s_times[j] < jt[l]:
-                weight = min(s_times[j] + dt, jt[l]) - s_times[j]
-                val += weight * at_jump(jt[l] - s_times[j], jx[l], h[j])
-        for k in range(l):
-            if jt[k] < jt[l]:
-                val += float(ke.eval(jt[l] - jt[k], jx[l], jx[k])) * kick[k]
-        new_left[l] = val
+        # v_0 is read like step 0's source, with weight 1
+        older = s_times < jt[l]
+        lags = np.concatenate(([jt[l]], jt[l] - s_times[older]))
+        weights = np.concatenate(([1.0], np.minimum(s_times[older] + dt, jt[l]) - s_times[older]))
+        vecs = np.vstack([v0_q] + [h[j] for j in np.flatnonzero(older)])
+        near = lags < _LAG_MIN_FACTOR * w_q * w_q  # kernel acts as the identity
+        vals = np.empty(lags.size)
+        vals[near] = [np.interp(jx[l], y_q, vec) for vec in vecs[near]]
+        vals[~near] = np.sum(ke.eval(lags[~near, None], jx[l], y_q) * vecs[~near], axis=1) * w_q
+        earlier = jt < jt[l]
+        pairs = ke.eval(jt[l] - jt[earlier], jx[l], jx[earlier]) @ kick[earlier]
+        new_left[l] = weights @ vals + pairs
     return new_targets, new_left
 
 
-def per_jump_window(problem, noise, window):
-    """The causal march of one window with one kernel call per value.
+def per_jump_march(problem, noise, inputs):
+    """The causal march with one kernel call per value.
 
-    The order of every floating-point operation is that of
-    ``_solve_window``, which reads the same kernel values from the
-    per-solve batches of ``_jump_table`` and the longer lags from the same
-    sine modes.
+    The order of every floating-point operation is that of ``_march``,
+    which reads the same kernel values from the per-solve batches of
+    ``_jump_table`` and the longer lags from the same sine modes.
     """
-    ke, x_all, y_q, w_q = window.ke, window.x_all, window.y_q, window.w_q
-    (basis, proj, rates), a, w, dt = window.factors, window.a, window.w, window.dt
-    v_a_q, gauss_rows = window.v_a_q, window.gauss_rows
-    jt, jx, jz = window.jumps
+    ke, x_all, y_q, w_q = inputs.ke, inputs.x_all, inputs.y_q, inputs.w_q
+    (basis, proj, rates), n_t, dt = inputs.factors, inputs.n_t, inputs.dt
+    v0_q, gauss = inputs.v0_q, inputs.gauss
+    jt, jx, jz = inputs.jumps
     n_q, N = y_q.size, rates.size
     step = np.exp(-dt * rates)
-    c_src, c_jump = np.zeros(N), np.zeros(N)
-    targets = np.empty((w, x_all.size))
+    c, c_prev = np.zeros(N), np.zeros(N)
+    targets = np.empty((n_t, x_all.size))
     u_left, kick = np.empty(jt.size), np.empty(jt.size)
-    l = 0
-    for j in range(w):
-        s_j, t_j = a + j * dt, a + (j + 1) * dt
-        u_j = v_a_q if j == 0 else targets[j - 1, -n_q:]
-        h = integrand(
-            problem, noise, s_j, y_q, u_j, None if gauss_rows is None else gauss_rows[j]
-        )
-        own = v_a_q if j == 0 else 0.0
+    l = older = 0  # the next jump, and the first jump of the step before
+    for j in range(n_t):
+        s_j, t_j = j * dt, (j + 1) * dt
+        u_j = v0_q if j == 0 else targets[j - 1, -n_q:]
+        h = integrand(problem, noise, s_j, y_q, u_j, None if gauss is None else gauss[j])
+        own = v0_q if j == 0 else 0.0
         cols, e_ahead, first = [], [], l
-        while l < jt.size and jt[l] <= t_j:
+        while l < jt.size and (jt[l] <= t_j or j == n_t - 1):
             back, ahead = jt[l] - s_j, t_j - jt[l]
             vec = own + back * h
             if back < _LAG_MIN_FACTOR * (w_q * w_q):
@@ -226,20 +218,23 @@ def per_jump_window(problem, noise, window):
             e_l = _basis_matrix(jx[l : l + 1], N, ke.length_L)[0]
             jj = np.array([
                 ke.eval(jt[l] - jt[k], jx[l], jx[k]) if jt[l] > jt[k] else 0.0
-                for k in range(l)
+                for k in range(older, l)
             ])
-            val += float((np.exp(-back * rates) * e_l) @ c_src) + float(jj @ kick[:l])
+            val += float((np.exp(-back * rates) * e_l) @ c) + float(jj @ kick[older:l])
             u_left[l] = val
             kick[l] = float(problem.noise_coef.evaluate(jt[l], jx[l], val)) * jz[l]
             cols.append(ke.eval(max(ahead, 1e-18), x_all, jx[l]))
             e_ahead.append(np.exp(-ahead * rates) * e_l)
             l += 1
-        c_src = step * (c_src + proj @ (own + dt * h))
-        targets[j] = (c_src + step * c_jump) @ basis.T
+        c = step * (c + c_prev + proj @ (own + dt * h))
+        targets[j] = c @ basis.T
         now = kick[first:l]
-        if jt.size:
-            targets[j] += now @ np.array(cols).reshape(now.size, x_all.size)
-        c_jump = step * c_jump + now @ np.array(e_ahead).reshape(now.size, N)
+        if now.size:
+            targets[j] += now @ np.array(cols)
+            c_prev = now @ np.array(e_ahead)
+        else:
+            c_prev = np.zeros(N)
+        older = first
     return targets, u_left
 
 
@@ -383,9 +378,10 @@ class TestMildContracts:
         assert np.all(sol.values[:, -1] == 0.0)
 
     def test_exact_fixed_point_mode(self):
-        # one Picard sweep of the windowed mild map, applied to the march's
-        # own state, must hand that state back: the march computes the
-        # map's fixed point, without iterating
+        # one Picard sweep of the mild map, with every lag read on the
+        # kernel's image sum, applied to the march's own state, must hand
+        # that state back: the march computes the map's fixed point, without
+        # iterating, and its sine modes stand in for the kernel
         cases = [
             make_problem(drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0)),
             make_problem(  # asymmetric tails: compensator drift mu != 0
@@ -405,16 +401,15 @@ class TestMildContracts:
             for seed in (5, 6, 7):
                 noise = sample_noise(prob.params, prob.trunc, DOM, seed)
                 for grid in (GridSpec(16, 8), GridSpec(32, 16)):
-                    values, windows = march_windows(prob, noise, grid)
-                    # the windows are exactly what solve_mild computes
+                    values, inputs, targets, u_left = march(prob, noise, grid)
+                    # the march is exactly what solve_mild computes
                     assert np.array_equal(values, solve_mild(prob, noise, grid).values)
-                    for window, targets, u_left in windows:
-                        sweep_targets, sweep_left = picard_sweep(
-                            prob, noise, window, targets, u_left
-                        )
-                        assert np.max(np.abs(sweep_targets - targets)) <= 1e-13
-                        assert np.all(np.abs(sweep_left - u_left) <= 1e-13)
-                        checked_jumps += u_left.size
+                    sweep_targets, sweep_left = picard_sweep(
+                        prob, noise, inputs, targets, u_left
+                    )
+                    assert np.max(np.abs(sweep_targets - targets)) <= 1e-13
+                    assert np.all(np.abs(sweep_left - u_left) <= 1e-13)
+                    checked_jumps += u_left.size
         assert checked_jumps > 0
 
     def test_batched_window_equals_per_jump_march(self):
@@ -433,105 +428,106 @@ class TestMildContracts:
             for seed in (5, 6):
                 noise = sample_noise(prob.params, prob.trunc, DOM, seed)
                 for grid in (GridSpec(8, 8), GridSpec(16, 8), GridSpec(32, 16)):
-                    _, windows = march_windows(prob, noise, grid)
-                    for window, targets, u_left in windows:
-                        ref_targets, ref_left = per_jump_window(prob, noise, window)
-                        assert targets.tobytes() == ref_targets.tobytes()
-                        assert u_left.tobytes() == ref_left.tobytes()
-                        jumps_seen += u_left.size
+                    _, inputs, targets, u_left = march(prob, noise, grid)
+                    ref_targets, ref_left = per_jump_march(prob, noise, inputs)
+                    assert targets.tobytes() == ref_targets.tobytes()
+                    assert u_left.tobytes() == ref_left.tobytes()
+                    jumps_seen += u_left.size
         assert jumps_seen > 100
 
     def test_kernel_calls_per_solve(self, monkeypatch):
         # a solve builds its kernel values in at most one call per kind
         # (jump rows, jump-jump values, jump-to-target columns) before the
-        # first window, and the windows make none; a fallback to per-window
-        # or per-jump calls makes more.  Each jump reads one image row and
-        # writes one image column, and each earlier jump of its own window
-        # one jump-jump value: every longer lag is read from the sine modes,
-        # and pairs in different windows are never read
-        calls, in_window = [], []
-        eval_orig, window_orig = KernelEvaluator.eval, solvers._solve_window
+        # march, and the march makes none; a fallback to per-step or
+        # per-jump calls makes more.  Each jump reads one image row and
+        # writes one image column, and each earlier jump of its own step or
+        # the step before one jump-jump value: every longer lag is read from
+        # the sine modes, and pairs further apart are never read
+        calls, in_march = [], []
+        eval_orig, march_orig = KernelEvaluator.eval, solvers._march
 
         def counting_eval(self, *args):
             calls.append(np.broadcast(*args).size)
             return eval_orig(self, *args)
 
-        def counting_window(*args):
+        def counting_march(*args):
             before = len(calls)
-            out = window_orig(*args)
-            in_window.append(len(calls) - before)
+            out = march_orig(*args)
+            in_march.append(len(calls) - before)
             return out
 
         monkeypatch.setattr(KernelEvaluator, "eval", counting_eval)
-        monkeypatch.setattr(solvers, "_solve_window", counting_window)
+        monkeypatch.setattr(solvers, "_march", counting_march)
         trunc = TruncationSpec(1.0, 0.01)
         prob = make_problem(
             drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0), trunc=trunc
         )
         noise = sample_noise(SYM, trunc, DOM, 3)
         taus = noise.taus
-        for grid, window_steps in ((GridSpec(16, 8), 4), (GridSpec(32, 16), 3)):
+        for grid in (GridSpec(16, 8), GridSpec(32, 16)):
             calls.clear()
-            in_window.clear()
-            solve_mild(prob, noise, grid, window_steps=window_steps)
+            in_march.clear()
+            solve_mild(prob, noise, grid)
             dt, n_q = grid.dt(1.0), 4 * grid.n_x
-            pairs = 0
-            for a_idx in range(0, grid.n_t, window_steps):
-                a, w = a_idx * dt, min(window_steps, grid.n_t - a_idx)
-                jt = taus[(taus > a) & (taus <= a + w * dt)]
-                pairs += int(np.sum(jt[:, None] > jt))
+            step = np.ceil(taus / dt) - 1  # the step (j*dt, (j+1)*dt] of each jump
+            adjacent = (step[:, None] - step[None, :] <= 1) & (taus[:, None] > taus)
+            pairs = int(np.sum(adjacent))
             n_all = (grid.n_x + 1) + n_q
-            assert len(in_window) >= 4 and max(in_window) == 0
+            assert in_march == [0]
             assert len(calls) <= 3
             assert sum(calls) <= noise.jump_count * (n_q + n_all) + pairs
-            # every window holds jumps, so cross-window pairs would be many
+            # every step holds jumps, so pairs further apart would be many
             assert pairs < noise.jump_count * (noise.jump_count - 1) // 2 - 1000
 
-    def test_each_jump_is_read_by_exactly_one_window(self, monkeypatch):
-        # jumps exactly at every window's start and end: where a window's
-        # end a + w*dt and the next window's start (a_idx + w)*dt differ in
-        # the last bit, a jump between them was read by both windows or by
-        # none, as were jumps at t = 0 and at T past the last window's end
-        # (0.9999999999999999 at n_t = 12); each must give one left limit
-        left_limits = []
-        window_orig = solvers._solve_window
+    def test_each_jump_is_read_by_exactly_one_step(self, monkeypatch):
+        # jumps exactly at every step end j*dt and at j/n_t, which differ
+        # from it in the last bit on some grids, so jumps sit on either side
+        # of a step end, and at t = 0 and T (past the last right end
+        # 0.9999999999999999 at n_t = 49).  The steps must split the jumps,
+        # each step must hold only jumps in its (j*dt, (j+1)*dt], and u(T)
+        # must hold each jump's heat-kernel column once
+        seen = []
+        march_orig = solvers._march
 
         def spy(*args):
-            out = window_orig(*args)
-            left_limits.append(out[1].size)
-            return out
+            u_left = march_orig(*args)
+            seen.append((args[5], u_left))
+            return u_left
 
-        monkeypatch.setattr(solvers, "_solve_window", spy)
-        prob = make_problem(noise_coef=constant(1.0))
+        monkeypatch.setattr(solvers, "_march", spy)
+        prob = make_problem(noise_coef=constant(1.0), init=ic_zero())
+        ke = KernelEvaluator(length_L=1.0)
         ulp_apart = 0
-        for n_t, window_steps in ((10, 3), (12, 5), (14, 3), (20, 3), (7, 2)):
+        for n_t in (10, 12, 14, 20, 7, 49):
             dt = 1.0 / n_t
-            ends = []
-            for a_idx in range(0, n_t, window_steps):
-                w = min(window_steps, n_t - a_idx)
-                start, end = a_idx * dt, a_idx * dt + w * dt
-                ends += [start, end]
-                ulp_apart += end != (a_idx + w) * dt
-            taus = np.unique([t for t in ends if t <= 1.0] + [1.0])  # 0 and T too
-            noise = manual_noise(taus, np.full(taus.size, 0.5), np.full(taus.size, 0.5))
-            left_limits.clear()
-            sol = solve_mild(prob, noise, GridSpec(n_t, 8), window_steps=window_steps)
-            assert np.all(np.isfinite(sol.values))
-            assert sum(left_limits) == noise.jump_count
+            ends = [j * dt for j in range(n_t + 1)] + [j / n_t for j in range(n_t + 1)]
+            ulp_apart += sum(j * dt != j / n_t for j in range(n_t + 1))
+            taus = np.unique(ends + [1.0])
+            noise = manual_noise(taus, np.full(taus.size, 0.3), np.full(taus.size, 0.5))
+            seen.clear()
+            sol = solve_mild(prob, noise, GridSpec(n_t, 8))
+            [(jumps, u_left)] = seen
+            first, back = jumps[0], jumps[4]
+            assert first[0] == 0 and first[-1] == taus.size and np.all(np.diff(first) >= 0)
+            for j in range(n_t):
+                now = taus[first[j] : first[j + 1]]
+                assert np.all((now > j * dt) | (now == 0.0))
+                assert np.all(back[first[j] : first[j + 1]] >= 0.0)
+                assert np.all(now <= (j + 1) * dt) or j == n_t - 1
+            assert u_left.size == taus.size and np.all(np.isfinite(u_left))
+            lags = np.maximum(1.0 - taus, 1e-18)
+            exact = 0.5 * ke.eval(lags[:, None], sol.nodes(), 0.3).sum(axis=0)
+            np.testing.assert_allclose(sol.values[-1], exact, rtol=0, atol=1e-10)
         assert ulp_apart >= 3  # the grids do exercise the last-bit mismatch
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a jump just before a window end is re-read only at the quadrature "
-        "nodes, which cannot resolve its column (ROADMAP open item)",
-    )
-    def test_jump_mass_is_continuous_across_a_window_end(self):
+    @pytest.mark.parametrize("b", [0.5, 37 / 64, 0.75, 63 / 64])
+    def test_jump_mass_is_continuous_across_a_window_end(self, b):
         # u(T) depends continuously on the jump time: with zero drift and a
         # constant noise coefficient the mass at T is that of one heat-kernel
-        # column, smooth in tau.  Moving the jump from just after the window
+        # column, smooth in tau.  Moving the jump from just after the step
         # end b to just before it must not lose or double that mass
         prob = make_problem(noise_coef=constant(1.0), init=ic_zero())
-        grid, b = GridSpec(64, 32), 0.5
+        grid = GridSpec(64, 32)
 
         def mass(tau):
             noise = manual_noise([tau], [0.3], [0.9])
