@@ -3,7 +3,10 @@
 Every run is driven by one versioned JSON config; all randomness flows
 from its single master seed (or the ``--seed`` override), so any output
 is reproducible from the config file alone.  Unknown config keys are
-rejected rather than ignored.
+rejected rather than ignored, and every command validates the whole
+config, experiment blocks included, before it runs anything.  The
+signature of ``experiments.run_<name>`` declares the keys of experiment
+``<name>``'s block (see ``_experiment_args``).
 
 Exit codes: 0 success, 2 validation/config error, 3 numerical error,
 4 experiment failure.
@@ -12,6 +15,7 @@ Exit codes: 0 success, 2 validation/config error, 3 numerical error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import inspect
 import json
@@ -70,13 +74,13 @@ def _object(section, where: str) -> dict:
 
 
 def _require_keys(section, allowed: set, required: set, where: str) -> None:
-    """A required key that is null counts as missing."""
+    """A required key that is null counts as missing; errors name ``where.key``."""
     unknown = set(_object(section, where)) - allowed
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+        raise ConfigError(f"unknown key(s) {[f'{where}.{k}' for k in sorted(unknown)]}")
     missing = {key for key in required if section.get(key) is None}
     if missing:
-        raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
+        raise ConfigError(f"missing key(s) {[f'{where}.{k}' for k in sorted(missing)]}")
 
 
 def _scalar(kind, value, where: str):
@@ -95,19 +99,27 @@ def _scalar(kind, value, where: str):
     return kind(value)
 
 
-# Family constructor annotations (strings: coefficients.py postpones them)
-# whose parameters hold JSON numbers.
-_NUMBER_KINDS = {"float": float, "int": int}
+@functools.cache
+def _parameters(fn):
+    """The parameters of ``fn``'s signature, read once per function."""
+    return inspect.signature(fn).parameters
+
+
+# Annotations (strings: coefficients.py and experiments.py postpone them)
+# of the parameters that hold a JSON number or a list of them.
+_NUMBER_KINDS = {"float": float, "int": int, "float | None": float}
+_LIST_KINDS = {"Sequence[float]": float, "Sequence[int]": int}
 
 
 def _family_param(annotation: str, value, where: str):
-    """A family parameter under the JSON-type rule of ``_scalar``."""
+    """A family or experiment parameter under the JSON-type rule of ``_scalar``."""
     if annotation in _NUMBER_KINDS:
         return _scalar(_NUMBER_KINDS[annotation], value, where)
-    if annotation == "Sequence[float]":
+    if annotation in _LIST_KINDS:
         if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
-        return [_scalar(float, v, where) for v in value]
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        kind = _LIST_KINDS[annotation]
+        return [_scalar(kind, v, f"{where}[{i}]") for i, v in enumerate(value)]
     return value
 
 
@@ -141,7 +153,7 @@ def _parse_family(section, table: dict, length_L: float, where: str):
     if not isinstance(family, str) or family not in table:
         raise ConfigError(f"unknown family {family!r} in {where}")
     params = dict(_object(section.get("params", {}), f"{where}.params"))
-    signature = inspect.signature(table[family].make).parameters
+    signature = _parameters(table[family].make)
     if "length" in signature:
         params.setdefault("length", length_L)
     if "base" in params:
@@ -159,18 +171,60 @@ def _parse_family(section, table: dict, length_L: float, where: str):
     overrides = {k: v for k, v in section.items() if k not in ("family", "params")}
     try:
         built = table[family].make(**params)
-        _require_keys(section, {f.name for f in fields(built)}, set(), where)
         p = built.params
         if family == "sine_modulated" and p["length"] < length_L:
             # Monotone in u for x in [0, length] only: beyond it the sine
             # turns negative, and f decreases in u unless it ignores u.
             ignores_u = p["amplitude"] * p["u_slope"] == 0.0
             built = replace(built, monotone_in_u=built.monotone_in_u and ignores_u)
-        return replace(built, **overrides)
+        if overrides:
+            _require_keys(overrides, {f.name for f in fields(built)}, set(), where)
+            built = replace(built, **overrides)
+        return built
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid value in {where}: {exc}") from exc
+
+
+def _experiment_args(name: str, section, problem: ProblemSpec, grid: GridSpec, seed: int):
+    """Keyword arguments of ``run_<name>`` from its config block.
+
+    The signature of ``run_<name>`` declares the block.  The run supplies
+    the problem (``problem``, ``problem_v``, ``params``, ``dom``), the
+    grid, the master seed and the worker count; every other parameter is
+    a key, required unless it has a default, whose annotation gives its
+    JSON type as in ``_family_param``.  A null counts as absent.  A
+    ``grid`` block overrides the grid of an experiment that takes one,
+    and ``problem_u`` replaces the drift, and optionally the initial
+    condition, of the config's problem.
+    """
+    params = _parameters(getattr(exp, f"run_{name}"))
+    supplied = dict(
+        problem=problem, problem_v=problem, params=problem.params, dom=problem.dom,
+        grid=grid, seed=seed,
+    )
+    keys = set(params) - set(supplied) - {"threads"}
+    required = {k for k in keys if params[k].default is params[k].empty}
+    _require_keys(section, keys | ({"grid"} & set(params)), required, name)
+    kwargs = {k: v for k, v in supplied.items() if k in params}
+    for key, value in section.items():
+        if value is None:
+            continue
+        where = f"{name}.{key}"
+        if key == "grid":
+            kwargs[key] = GridSpec(**_numbers(value, where, n_t=int, n_x=int))
+        elif key == "problem_u":
+            _require_keys(value, {"drift", "initial"}, {"drift"}, where)
+            L = problem.dom.length_L
+            drift = _parse_family(value["drift"], coef.COEFFICIENT_FAMILIES, L, f"{where}.drift")
+            init = problem.init
+            if "initial" in value:
+                init = _parse_family(value["initial"], coef.INITIAL_FAMILIES, L, f"{where}.initial")
+            kwargs[key] = replace(problem, drift=drift, init=init)
+        else:
+            kwargs[key] = _family_param(params[key].annotation, value, where)
+    return kwargs
 
 
 @dataclass
@@ -183,7 +237,7 @@ class RunConfig:
     solver_method: str
     solver_window_steps: int | None  # ignored; held for perfbench (ROADMAP item 2)
     solver_modes: int
-    experiments: dict
+    experiments: dict  # name -> keyword arguments of run_<name>, in EXPERIMENT_ORDER
     output_dir: str
     effective: dict
 
@@ -250,12 +304,17 @@ class RunConfig:
         window_steps = _number(int, solver, "window_steps", "solver")
         modes = _number(int, solver, "modes", "solver", min(16, grid.n_x // 4))
 
-        experiments = raw.get("experiments", {})
-        _require_keys(experiments, set(EXPERIMENT_ORDER), set(), "experiments")
-
         master_seed = _number(int, raw, "master_seed", "config")
         if seed_override is not None:
             master_seed = int(seed_override)
+
+        blocks = raw.get("experiments", {})
+        _require_keys(blocks, set(EXPERIMENT_ORDER), set(), "experiments")
+        experiments = {
+            name: _experiment_args(name, blocks[name], problem, grid, master_seed)
+            for name in EXPERIMENT_ORDER
+            if name in blocks
+        }
         canonical = problem.canonical()
         effective = {
             "version": CONFIG_VERSION,
@@ -270,7 +329,7 @@ class RunConfig:
             },
             "initial": canonical["init"],
             "solver": {"method": method, "modes": modes},
-            "experiments": experiments,
+            "experiments": blocks,
             "output_dir": raw.get("output_dir", "stableheat-out"),
         }
         return RunConfig(
@@ -384,98 +443,6 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _run_one_experiment(name: str, section, cfg: RunConfig, threads: int):
-    section = dict(_object(section, name))
-    grid_section = section.pop("grid", None)
-    grid = (
-        GridSpec(**_numbers(grid_section, f"{name}.grid", n_t=int, n_x=int))
-        if grid_section is not None
-        else cfg.grid
-    )
-    problem = cfg.problem
-    if name == "stopping_law":
-        _require_keys(section, {"K", "n_paths", "observe_factor"}, {"K", "n_paths"}, name)
-        return exp.run_stopping_law(
-            problem.params,
-            _number(float, section, "K", name),
-            problem.dom,
-            _number(int, section, "n_paths", name),
-            cfg.master_seed,
-            observe_factor=_number(float, section, "observe_factor", name, 1000.0),
-            threads=threads,
-        )
-    if name == "consistency":
-        _require_keys(section, {"K_small", "K_large", "n_paths"}, {"K_small", "K_large"}, name)
-        return exp.run_consistency(
-            problem,
-            cfg.master_seed,
-            _number(float, section, "K_small", name),
-            _number(float, section, "K_large", name),
-            grid,
-            n_paths=_number(int, section, "n_paths", name, 1),
-        )
-    if name == "galerkin_convergence":
-        _require_keys(section, {"m_list"}, {"m_list"}, name)
-        m_list = section["m_list"]
-        if not isinstance(m_list, list):
-            raise ConfigError(f"{name}.m_list must be a list of integers, got {m_list!r}")
-        m_list = [_scalar(int, m, f"{name}.m_list[{i}]") for i, m in enumerate(m_list)]
-        return exp.run_galerkin_convergence(
-            problem, cfg.master_seed, m_list, grid, threads=threads
-        )
-    if name == "moment_estimate":
-        _require_keys(section, {"n_paths", "p"}, {"n_paths"}, name)
-        return exp.run_moment_estimate(
-            problem,
-            grid,
-            _number(int, section, "n_paths", name),
-            _number(float, section, "p", name, 2.0),
-            cfg.master_seed,
-            threads=threads,
-        )
-    if name == "comparison":
-        _require_keys(section, {"n_paths", "problem_u", "tol"}, {"n_paths", "problem_u"}, name)
-        pu_sec = section["problem_u"]
-        _require_keys(pu_sec, {"drift", "initial"}, {"drift"}, "comparison.problem_u")
-        drift_u = _parse_family(
-            pu_sec["drift"],
-            coef.COEFFICIENT_FAMILIES,
-            problem.dom.length_L,
-            "comparison.problem_u.drift",
-        )
-        init_u = (
-            _parse_family(
-                pu_sec["initial"],
-                coef.INITIAL_FAMILIES,
-                problem.dom.length_L,
-                "comparison.problem_u.initial",
-            )
-            if "initial" in pu_sec
-            else problem.init
-        )
-        problem_u = replace(problem, drift=drift_u, init=init_u)
-        return exp.run_comparison(
-            problem_u,
-            problem,
-            grid,
-            _number(int, section, "n_paths", name),
-            cfg.master_seed,
-            tol=_number(float, section, "tol", name),
-            threads=threads,
-        )
-    if name == "nonnegativity":
-        _require_keys(section, {"n_paths", "tol"}, {"n_paths"}, name)
-        return exp.run_nonnegativity(
-            problem,
-            grid,
-            _number(int, section, "n_paths", name),
-            cfg.master_seed,
-            tol=_number(float, section, "tol", name),
-            threads=threads,
-        )
-    raise ConfigError(f"unknown experiment {name!r}")
-
-
 def cmd_verify(cfg: RunConfig, out_dir: str, threads: int = 1) -> int:
     """Run every selected experiment; exit 0 only if all pass."""
     if not cfg.experiments:
@@ -484,10 +451,11 @@ def cmd_verify(cfg: RunConfig, out_dir: str, threads: int = 1) -> int:
     report_dir = os.path.join(out_dir, "reports")
     os.makedirs(report_dir, exist_ok=True)
     outcomes = []
-    for name in EXPERIMENT_ORDER:
-        if name not in cfg.experiments:
-            continue
-        report = _run_one_experiment(name, cfg.experiments[name], cfg, threads)
+    for name, kwargs in cfg.experiments.items():
+        run = getattr(exp, f"run_{name}")
+        if "threads" in _parameters(run):
+            kwargs = dict(kwargs, threads=threads)
+        report = run(**kwargs)
         report.write(report_dir)
         outcomes.append((name, report.passed))
     _write_json(

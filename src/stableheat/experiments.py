@@ -21,6 +21,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -472,7 +473,7 @@ def run_nonnegativity(
 
 def run_consistency(
     problem: ProblemSpec,
-    noise_seed: int,
+    seed: int,
     K_small: float,
     K_large: float,
     grid: GridSpec,
@@ -488,7 +489,8 @@ def run_consistency(
     Asymmetric tails are refused: there the two cutoffs carry different
     compensator drifts, the solutions genuinely differ before the
     stopping time, and no finite tolerance separates that discrepancy
-    from error.
+    from error.  A single path uses ``seed`` itself as its noise seed;
+    with ``n_paths`` > 1, path i uses ``path_seed(seed, i)``.
     """
     t_start = time.perf_counter()
     if not problem.params.is_symmetric:
@@ -507,7 +509,7 @@ def run_consistency(
     dt = grid.dt(T)
 
     def one_path(i: int):
-        seed_i = noise_seed if n_paths == 1 else path_seed(noise_seed, i)
+        seed_i = seed if n_paths == 1 else path_seed(seed, i)
         rn = sample_noise(problem.params, trunc, problem.dom, seed_i)
         r_small = noise_mod.restrict(rn, K_small)
         r_large = noise_mod.restrict(rn, K_large)
@@ -531,7 +533,7 @@ def run_consistency(
     return _report(
         "consistency",
         t_start,
-        noise_seed,
+        seed,
         {
             "problem": problem.canonical(),
             "K_small": K_small,
@@ -557,8 +559,8 @@ def run_consistency(
 
 def run_galerkin_convergence(
     problem: ProblemSpec,
-    noise_seed: int,
-    m_list,
+    seed: int,
+    m_list: Sequence[int],
     grid: GridSpec,
     *,
     threads: int = 1,
@@ -566,9 +568,10 @@ def run_galerkin_convergence(
     """Mode-truncation error against the mild solve on one shared path.
 
     E(m) is the sup over grid times of the L2 distance between the
-    synthesized m-mode solution and the mild solution.  Passes when the
-    sequence is non-increasing up to 5% slack and the last error is
-    below half the first.
+    synthesized m-mode solution and the mild solution, on the one path
+    whose noise seed is ``seed`` itself.  Passes when the sequence is
+    non-increasing up to 5% slack and the last error is below half the
+    first.
     """
     t_start = time.perf_counter()
     m_list = [int(m) for m in m_list]
@@ -581,7 +584,7 @@ def run_galerkin_convergence(
             f"max mode count {max(m_list)} exceeds n_x/4 = {grid.n_x // 4}"
         )
     problem.validate()
-    rn = sample_noise(problem.params, problem.trunc, problem.dom, noise_seed)
+    rn = sample_noise(problem.params, problem.trunc, problem.dom, seed)
     (mild,) = _map_paths(
         lambda i: solve_mild(problem, rn, grid),
         1, 1, "galerkin_convergence path",
@@ -607,7 +610,7 @@ def run_galerkin_convergence(
     return _report(
         "galerkin_convergence",
         t_start,
-        noise_seed,
+        seed,
         {"problem": problem.canonical(), "m_list": m_list, "grid": (grid.n_t, grid.n_x)},
         n_paths=1,
         estimates={f"E_m{m}": float(e) for m, e in zip(m_list, errors)},
@@ -623,9 +626,9 @@ def run_moment_estimate(
     problem: ProblemSpec,
     grid: GridSpec,
     n_paths: int,
-    p: float,
-    seed: int,
+    p: float = 2.0,
     *,
+    seed: int,
     threads: int = 1,
 ) -> ExperimentReport:
     """Monte Carlo estimate of the peak p-th moment of the solution norm.

@@ -28,7 +28,8 @@ consequences of causality are exploited deliberately:
 ``solve_galerkin`` projects every jump onto the first m sine modes
 once, before it steps in time, and integrates the resulting finite
 jump-driven stiff system exactly between events with an exponential
-step, applying jumps at their exact times.
+step, applying jumps at their exact times.  It and ``weak_form_residual``
+read the mild solver's quadrature nodes from the same per-grid constants.
 
 Both solvers are deterministic functions of (problem, noise, grid) and
 share immutable inputs, so concurrent solves need no locking.
@@ -239,7 +240,8 @@ class _Grid(NamedTuple):
 
 @functools.lru_cache(maxsize=16)
 def _grid_constants(length_L: float, horizon_T: float, grid: GridSpec) -> _Grid:
-    """Build a grid's constants once; every solve on the grid shares them,
+    """Build a grid's constants once; every solve on the grid shares them
+    (Galerkin solves and weak-form residuals read its quadrature nodes),
     so their arrays are made read-only."""
     ke = KernelEvaluator(length_L=length_L)
     dt = grid.dt(horizon_T)
@@ -481,12 +483,12 @@ def solve_galerkin(
     T, L = problem.dom.horizon_T, problem.dom.length_L
     n_t = grid.n_t
     dt = grid.dt(T)
-    n_q = 4 * grid.n_x
+    g = _grid_constants(L, T, grid)
+    y_q, w_q, n_q = g.y_q, g.w_q, g.y_q.size
     if m > n_q // 4:
         raise ParameterError(
             f"m={m} too large for quadrature resolution n_quad={n_q}"
         )
-    y_q, w_q = KernelEvaluator(length_L=L).quad_nodes(n_q)
     basis = _basis_matrix(y_q, m, L)  # (n_q, m)
     rates = _mode_rates(m, L)
     mu = noise.compensator_mu
@@ -653,10 +655,9 @@ def weak_form_residual(
         rhs += phi_val * float(np.interp(xj, nodes, chi_v)) * zj
 
     if problem.trunc.gaussian_correction:
-        n_q = 4 * grid.n_x
-        y_q, _ = KernelEvaluator(length_L=L).quad_nodes(n_q)
+        y_q = _grid_constants(L, T, grid).y_q
         chi_q = np.asarray(chi(y_q), float)
-        dW = noise.gaussian_increments(grid.n_t, n_q)
+        dW = noise.gaussian_increments(grid.n_t, y_q.size)
         for i in range(idx):
             u_row = np.interp(y_q, nodes, sol.values[i])
             pv = np.asarray(

@@ -5,15 +5,18 @@ import re
 import numpy as np
 import pytest
 
+from stableheat import experiments
 from stableheat.cli import (
     EXIT_EXPERIMENT,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    EXPERIMENT_ORDER,
     RunConfig,
     main,
 )
 from stableheat.experiments import path_seed
+from stableheat.solvers import GridSpec
 
 BASE_CONFIG = {
     "version": 1,
@@ -28,6 +31,56 @@ BASE_CONFIG = {
     },
     "initial": {"family": "sine_mode", "params": {"mode": 1, "amplitude": 1.0}},
 }
+
+
+# A valid block per experiment, and per experiment one key that takes a
+# malformed value and one required key.
+VALID_BLOCKS = {
+    "stopping_law": {"K": 1.0, "n_paths": 50},
+    "consistency": {"K_small": 0.5, "K_large": 1.0},
+    "galerkin_convergence": {"m_list": [1, 2]},
+    "moment_estimate": {"n_paths": 2},
+    "comparison": {
+        "n_paths": 2,
+        "problem_u": {"drift": {"family": "affine", "params": {"a": 0.0, "b": 0.1}}},
+    },
+    "nonnegativity": {"n_paths": 2},
+}
+MALFORMED = {
+    "stopping_law": ("K", "one"),
+    "consistency": ("K_small", True),
+    "galerkin_convergence": ("m_list", [1, 2.5]),
+    "moment_estimate": ("p", "two"),
+    "comparison": ("tol", "big"),
+    "nonnegativity": ("tol", [0.1]),
+}
+REQUIRED = {
+    "stopping_law": "n_paths",
+    "consistency": "K_large",
+    "galerkin_convergence": "m_list",
+    "moment_estimate": "n_paths",
+    "comparison": "problem_u",
+    "nonnegativity": "n_paths",
+}
+
+
+def malformed_block_cases():
+    """(experiments, where) per experiment: a malformed number, a missing
+    required key, an unknown key.  A valid stopping_law block comes first,
+    so a config checked only when each block's turn comes writes a report."""
+    for name, valid in VALID_BLOCKS.items():
+        key, bad = MALFORMED[name]
+        required = REQUIRED[name]
+        for case, block, key in (
+            ("malformed", dict(valid, **{key: bad}), key),
+            ("missing", {k: v for k, v in valid.items() if k != required}, required),
+            ("unknown", dict(valid, extra=1), "extra"),
+        ):
+            yield pytest.param(
+                {"stopping_law": VALID_BLOCKS["stopping_law"], name: block},
+                f"{name}.{key}",
+                id=f"{name}-{case}-{key}",
+            )
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -274,6 +327,16 @@ class TestSolve:
         )
         assert where in capsys.readouterr().err
 
+    def test_malformed_experiment_block_rejected(self, tmp_path, capsys):
+        # every command validates the whole config, experiment blocks included
+        cfg = write_config(
+            tmp_path, {"experiments": {"moment_estimate": {"n_paths": 2, "p": "two"}}}
+        )
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert "moment_estimate.p" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_accepted_for_integer_key(self, tmp_path):
         cfg = write_config(tmp_path, {"grid": {"n_t": 16.0, "n_x": 8}})
         out = tmp_path / "o"
@@ -400,12 +463,25 @@ class TestVerify:
     @pytest.mark.parametrize(
         "experiments, where",
         [
-            ({"stopping_law": {"K": 1.0, "n_paths": 2.5}}, "stopping_law.n_paths"),
-            ({"stopping_law": {"K": 1.0, "n_paths": True}}, "stopping_law.n_paths"),
-            ({"galerkin_convergence": {"m_list": ["x", 4]}}, "galerkin_convergence.m_list"),
-            ({"galerkin_convergence": {"m_list": 4}}, "galerkin_convergence.m_list"),
+            pytest.param(
+                {"stopping_law": {"K": 1.0, "n_paths": 2.5}}, "stopping_law.n_paths",
+                id="fractional-n-paths",
+            ),
+            pytest.param(
+                {"stopping_law": {"K": 1.0, "n_paths": True}}, "stopping_law.n_paths",
+                id="boolean-n-paths",
+            ),
+            pytest.param(
+                {"galerkin_convergence": {"m_list": ["x", 4]}},
+                "galerkin_convergence.m_list[0]",
+                id="non-integer-m",
+            ),
+            pytest.param(
+                {"galerkin_convergence": {"m_list": 4}}, "galerkin_convergence.m_list",
+                id="m-list-not-list",
+            ),
+            *malformed_block_cases(),
         ],
-        ids=["fractional-n-paths", "boolean-n-paths", "non-integer-m", "m-list-not-list"],
     )
     def test_malformed_experiment_value_exits_validation(
         self, tmp_path, capsys, experiments, where
@@ -414,7 +490,31 @@ class TestVerify:
         out = tmp_path / "o"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
         assert where in capsys.readouterr().err
-        assert not (out / "reports" / "stopping_law.json").exists()
+        assert not list((out / "reports").glob("*"))
+
+    def test_grid_rejected_where_the_experiment_takes_none(self, tmp_path, capsys):
+        block = dict(VALID_BLOCKS["stopping_law"], grid={"n_t": 8, "n_x": 4})
+        cfg = write_config(tmp_path, {"experiments": {"stopping_law": block}})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert "stopping_law.grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_overrides_where_the_experiment_takes_one(self):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["experiments"] = {
+            name: dict(block, grid={"n_t": 8, "n_x": 4}) if name != "stopping_law" else block
+            for name, block in VALID_BLOCKS.items()
+        }
+        cfg = RunConfig.parse(raw)
+        for name, kwargs in cfg.experiments.items():
+            if name != "stopping_law":
+                assert kwargs["grid"] == GridSpec(8, 4), name
+
+    def test_experiment_order_names_every_run(self):
+        runs = {n.removeprefix("run_") for n in experiments.__all__ if n.startswith("run_")}
+        assert set(EXPERIMENT_ORDER) == runs
+        assert set(VALID_BLOCKS) == runs
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"extra_section": {"a": 1}})

@@ -243,28 +243,28 @@ class TestGalerkinConvergence:
 class TestMomentEstimate:
     def test_zero_solution(self):
         p = problem(init=ic_zero())
-        rep = run_moment_estimate(p, GridSpec(16, 8), 3, 2.0, 5)
+        rep = run_moment_estimate(p, GridSpec(16, 8), 3, 2.0, seed=5)
         assert rep.passed
         assert rep.estimates["sup_moment"] == 0.0
 
     def test_deterministic_peak_at_initial_time(self):
         p = problem(drift=zero(), noise_coef=zero())
-        rep = run_moment_estimate(p, GridSpec(32, 16), 2, 2.0, 5)
+        rep = run_moment_estimate(p, GridSpec(32, 16), 2, 2.0, seed=5)
         assert rep.passed
         assert rep.estimates["peak_time_index"] == 0.0
         assert rep.estimates["sup_moment"] == pytest.approx(0.5, abs=1e-10)
 
     def test_stochastic_stability(self):
         p = problem()
-        rep = run_moment_estimate(p, GridSpec(32, 16), 8, 2.0, 5)
+        rep = run_moment_estimate(p, GridSpec(32, 16), 8, 2.0, seed=5)
         assert rep.passed
         assert 0.8 <= rep.estimates["doubling_ratio"] <= 1.25
 
     def test_p_out_of_range(self):
         with pytest.raises(ParameterError):
-            run_moment_estimate(problem(), GridSpec(16, 8), 2, 1.2, 5)
+            run_moment_estimate(problem(), GridSpec(16, 8), 2, 1.2, seed=5)
         with pytest.raises(ParameterError):
-            run_moment_estimate(problem(), GridSpec(16, 8), 2, 2.5, 5)
+            run_moment_estimate(problem(), GridSpec(16, 8), 2, 2.5, seed=5)
 
 
 class TestReports:
@@ -291,8 +291,8 @@ class TestReports:
 
     def test_thread_count_invariance(self):
         p = problem()
-        a = run_moment_estimate(p, GridSpec(16, 8), 4, 2.0, 5, threads=1)
-        b = run_moment_estimate(p, GridSpec(16, 8), 4, 2.0, 5, threads=3)
+        a = run_moment_estimate(p, GridSpec(16, 8), 4, 2.0, seed=5, threads=1)
+        b = run_moment_estimate(p, GridSpec(16, 8), 4, 2.0, seed=5, threads=3)
         assert a.to_json_dict() == b.to_json_dict()
 
 
