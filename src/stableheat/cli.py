@@ -2,11 +2,11 @@
 
 Every run is driven by one versioned JSON config; all randomness flows
 from its single master seed (or the ``--seed`` override), so any output
-is reproducible from the config file alone.  Unknown config keys are
-rejected rather than ignored, and every command validates the whole
-config, experiment blocks included, before it runs anything.  The
-signature of ``experiments.run_<name>`` declares the keys of experiment
-``<name>``'s block (see ``_experiment_args``).
+is reproducible from the config file alone.  Each JSON object's keys
+are the parameters of the constructor it builds (see ``_kwargs``);
+unknown keys are rejected rather than ignored, and every command
+validates the whole config, experiment blocks included, before it runs
+anything.
 
 Exit codes: 0 success, 2 validation/config error, 3 numerical error,
 4 experiment failure.
@@ -21,7 +21,7 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,16 +105,21 @@ def _parameters(fn):
     return inspect.signature(fn).parameters
 
 
-# Annotations (strings: coefficients.py and experiments.py postpone them)
-# of the parameters that hold a JSON number or a list of them.
+# Annotations (strings: every module postpones them) of the parameters
+# that hold a JSON number or a list of them.
 _NUMBER_KINDS = {"float": float, "int": int, "float | None": float}
 _LIST_KINDS = {"Sequence[float]": float, "Sequence[int]": int}
 
 
-def _family_param(annotation: str, value, where: str):
-    """A family or experiment parameter under the JSON-type rule of ``_scalar``."""
+def _typed(annotation: str, value, where: str):
+    """``value`` as the JSON type that ``annotation`` names: numbers under the
+    rule of ``_scalar``, a ``bool`` only true or false, anything else as is."""
     if annotation in _NUMBER_KINDS:
         return _scalar(_NUMBER_KINDS[annotation], value, where)
+    if annotation == "bool":
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where} must be true or false, got {value!r}")
+        return value
     if annotation in _LIST_KINDS:
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a list, got {value!r}")
@@ -123,54 +128,58 @@ def _family_param(annotation: str, value, where: str):
     return value
 
 
+def _kwargs(fn, section, where: str, supplied=(), *, required: bool = True) -> dict:
+    """Keyword arguments of ``fn`` read from the JSON object ``section``.
+
+    Every parameter of ``fn`` not named in ``supplied`` is a key; it is
+    required when it has no default (and ``required`` holds), and its
+    annotation gives its JSON type through ``_typed``.  A null counts as
+    absent.  Errors name ``where.key``.
+    """
+    params = _parameters(fn)
+    keys = set(params) - set(supplied)
+    needed = {k for k in keys if params[k].default is params[k].empty} if required else set()
+    _require_keys(section, keys, needed, where)
+    return {
+        k: _typed(params[k].annotation, v, f"{where}.{k}")
+        for k, v in section.items()
+        if v is not None
+    }
+
+
 def _number(kind, section: dict, key: str, where: str, default=None):
     """``kind(section[key])``, or ``default`` when the key is absent or null."""
     value = section.get(key)
     return default if value is None else _scalar(kind, value, f"{where}.{key}")
 
 
-def _numbers(section, where: str, **kinds) -> dict:
-    """The keys of ``kinds``, all required, each converted by its kind."""
-    _require_keys(section, set(kinds), set(kinds), where)
-    return {key: _number(kind, section, key, where) for key, kind in kinds.items()}
-
-
 def _parse_family(section, table: dict, length_L: float, where: str):
     """Build a coefficient or an initial condition from its config entry.
 
     ``table`` maps family names to entries whose ``make`` is the family's
-    constructor; ``params`` are its keyword arguments.  An omitted
-    ``length`` takes the domain length and a ``base`` is parsed as a
-    nested entry.  Number-typed ``params`` follow the JSON-type rule of
-    ``_scalar``.  A ``sine_modulated`` entry shorter than the domain is
-    not declared monotone in u unless it ignores u.  The entry's other
-    keys override fields of the built object, such as a coefficient's
-    declared bounds.
+    constructor; ``params`` are its keyword arguments, read by
+    ``_kwargs``.  An omitted ``length`` takes the domain length and a
+    ``base`` is parsed as a nested entry.  A ``sine_modulated`` entry
+    shorter than the domain is not declared monotone in u unless it
+    ignores u.  The entry's other keys override fields of the built
+    object, such as a coefficient's declared bounds, typed by the
+    annotations of its class and all optional.
     """
-    _object(section, where)
-    _require_keys(section, set(section), {"family"}, where)
+    _require_keys(section, set(_object(section, where)), {"family"}, where)
     family = section["family"]
     if not isinstance(family, str) or family not in table:
         raise ConfigError(f"unknown family {family!r} in {where}")
-    params = dict(_object(section.get("params", {}), f"{where}.params"))
-    signature = _parameters(table[family].make)
-    if "length" in signature:
-        params.setdefault("length", length_L)
-    if "base" in params:
+    make = table[family].make
+    params = section.get("params")
+    params = {} if params is None else dict(_object(params, f"{where}.params"))
+    if "length" in _parameters(make) and params.get("length") is None:
+        params["length"] = length_L
+    if params.get("base") is not None:
         params["base"] = _parse_family(params["base"], table, length_L, where + ".base")
-    missing = [k for k, v in signature.items() if v.default is v.empty and k not in params]
-    if missing:
-        raise ConfigError(f"missing {family} parameter {missing[0]!r} in {where}")
-    unknown = sorted(set(params) - set(signature))
-    if unknown:
-        raise ConfigError(f"unknown {family} parameter(s) {unknown} in {where}")
-    params = {
-        k: _family_param(signature[k].annotation, v, f"{where}.params.{k}")
-        for k, v in params.items()
-    }
+    params = _kwargs(make, params, f"{where}.params")
     overrides = {k: v for k, v in section.items() if k not in ("family", "params")}
     try:
-        built = table[family].make(**params)
+        built = make(**params)
         p = built.params
         if family == "sine_modulated" and p["length"] < length_L:
             # Monotone in u for x in [0, length] only: beyond it the sine
@@ -178,8 +187,8 @@ def _parse_family(section, table: dict, length_L: float, where: str):
             ignores_u = p["amplitude"] * p["u_slope"] == 0.0
             built = replace(built, monotone_in_u=built.monotone_in_u and ignores_u)
         if overrides:
-            _require_keys(overrides, {f.name for f in fields(built)}, set(), where)
-            built = replace(built, **overrides)
+            changes = _kwargs(type(built), overrides, where, ("family", "params"), required=False)
+            built = replace(built, **changes)
         return built
     except ConfigError:
         raise
@@ -190,40 +199,33 @@ def _parse_family(section, table: dict, length_L: float, where: str):
 def _experiment_args(name: str, section, problem: ProblemSpec, grid: GridSpec, seed: int):
     """Keyword arguments of ``run_<name>`` from its config block.
 
-    The signature of ``run_<name>`` declares the block.  The run supplies
-    the problem (``problem``, ``problem_v``, ``params``, ``dom``), the
-    grid, the master seed and the worker count; every other parameter is
-    a key, required unless it has a default, whose annotation gives its
-    JSON type as in ``_family_param``.  A null counts as absent.  A
-    ``grid`` block overrides the grid of an experiment that takes one,
-    and ``problem_u`` replaces the drift, and optionally the initial
+    The run supplies the problem (``problem``, ``problem_v``, ``params``,
+    ``dom``), the grid, the master seed and the worker count; every other
+    parameter of ``run_<name>`` is a key, read by ``_kwargs``.  A ``grid``
+    block overrides the grid of an experiment that takes one, and
+    ``problem_u`` replaces the drift, and optionally the initial
     condition, of the config's problem.
     """
-    params = _parameters(getattr(exp, f"run_{name}"))
+    run = getattr(exp, f"run_{name}")
     supplied = dict(
         problem=problem, problem_v=problem, params=problem.params, dom=problem.dom,
         grid=grid, seed=seed,
     )
-    keys = set(params) - set(supplied) - {"threads"}
-    required = {k for k in keys if params[k].default is params[k].empty}
-    _require_keys(section, keys | ({"grid"} & set(params)), required, name)
-    kwargs = {k: v for k, v in supplied.items() if k in params}
-    for key, value in section.items():
-        if value is None:
-            continue
-        where = f"{name}.{key}"
-        if key == "grid":
-            kwargs[key] = GridSpec(**_numbers(value, where, n_t=int, n_x=int))
-        elif key == "problem_u":
-            _require_keys(value, {"drift", "initial"}, {"drift"}, where)
-            L = problem.dom.length_L
-            drift = _parse_family(value["drift"], coef.COEFFICIENT_FAMILIES, L, f"{where}.drift")
-            init = problem.init
-            if "initial" in value:
-                init = _parse_family(value["initial"], coef.INITIAL_FAMILIES, L, f"{where}.initial")
-            kwargs[key] = replace(problem, drift=drift, init=init)
-        else:
-            kwargs[key] = _family_param(params[key].annotation, value, where)
+    block = dict(_object(section, name))
+    grid_block = block.pop("grid", None) if "grid" in _parameters(run) else None
+    kwargs = _kwargs(run, block, name, (*supplied, "threads"))
+    kwargs.update((k, v) for k, v in supplied.items() if k in _parameters(run))
+    if grid_block is not None:
+        kwargs["grid"] = GridSpec(**_kwargs(GridSpec, grid_block, f"{name}.grid"))
+    if "problem_u" in kwargs:
+        where, value = f"{name}.problem_u", kwargs["problem_u"]
+        _require_keys(value, {"drift", "initial"}, {"drift"}, where)
+        L = problem.dom.length_L
+        drift = _parse_family(value["drift"], coef.COEFFICIENT_FAMILIES, L, f"{where}.drift")
+        init = problem.init
+        if value.get("initial") is not None:
+            init = _parse_family(value["initial"], coef.INITIAL_FAMILIES, L, f"{where}.initial")
+        kwargs["problem_u"] = replace(problem, drift=drift, init=init)
     return kwargs
 
 
@@ -255,31 +257,16 @@ class RunConfig:
         }
         optional = {"solver", "experiments", "output_dir"}
         _require_keys(raw, required | optional, required, "config")
-        if raw["version"] != CONFIG_VERSION:
+        version = _number(int, raw, "version", "config")
+        if version != CONFIG_VERSION:
             raise ConfigError(
-                f"unsupported config version {raw['version']!r}; expected "
-                f"{CONFIG_VERSION}"
+                f"unsupported config version {version!r}; expected {CONFIG_VERSION}"
             )
 
-        params = StableParams(
-            **_numbers(raw["stable"], "stable", alpha=float, c_plus=float, c_minus=float)
-        )
-
-        sec = dict(_object(raw["truncation"], "truncation"))
-        gaussian = sec.pop("gaussian_correction", None)
-        if not isinstance(gaussian, (bool, type(None))):
-            raise ConfigError(
-                f"truncation.gaussian_correction must be true or false, got {gaussian!r}"
-            )
-        trunc = TruncationSpec(
-            **_numbers(sec, "truncation", big_cutoff_K=float, small_cutoff_eps=float),
-            gaussian_correction=bool(gaussian),
-        )
-
-        dom = SpaceTimeDomain(
-            **_numbers(raw["domain"], "domain", horizon_T=float, length_L=float)
-        )
-        grid = GridSpec(**_numbers(raw["grid"], "grid", n_t=int, n_x=int))
+        params = StableParams(**_kwargs(StableParams, raw["stable"], "stable"))
+        trunc = TruncationSpec(**_kwargs(TruncationSpec, raw["truncation"], "truncation"))
+        dom = SpaceTimeDomain(**_kwargs(SpaceTimeDomain, raw["domain"], "domain"))
+        grid = GridSpec(**_kwargs(GridSpec, raw["grid"], "grid"))
 
         sec = raw["coefficients"]
         _require_keys(sec, {"drift", "noise_coef"}, {"drift", "noise_coef"}, "coefficients")
@@ -428,15 +415,13 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
         _write_json(os.path.join(sol_dir, f"{name}.meta.json"), meta)
     if cfg.solver_method == "both":
         mild, galerkin = written["mild"], written["galerkin"]
-        diff = np.abs(mild.values - galerkin.values)
+        delta = mild.values - galerkin.values
         dx = cfg.grid.dx(cfg.problem.dom.length_L)
         _write_json(
             os.path.join(sol_dir, "discrepancy.json"),
             {
-                "max_abs_difference": float(diff.max()),
-                "max_h_norm_difference": float(
-                    max(grid_h_norm(row, dx) for row in mild.values - galerkin.values)
-                ),
+                "max_abs_difference": float(np.abs(delta).max()),
+                "max_h_norm_difference": float(grid_h_norm(delta, dx).max()),
                 "modes": cfg.solver_modes,
             },
         )

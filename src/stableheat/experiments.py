@@ -190,8 +190,8 @@ def _report(name: str, t_start: float, seed: int, inputs: dict, **fields):
     )
 
 
-def positive_part_energy(w, dx: float) -> float:
-    """Trapezoid value of int (w^+)^2 dx over grid-node values.
+def positive_part_energy(w, dx: float):
+    """Trapezoid int (w^+)^2 dx over grid-node values, per row of a 2-d array.
 
     Strictly positive node weights make the value vanish exactly when
     w <= 0 at every node.
@@ -374,7 +374,7 @@ def run_comparison(
         v = solve_mild(problem_v, rn, grid)
         diff = u.values - v.values
         viol = float(max(0.0, diff.max()))
-        energy = max(positive_part_energy(row, dx) for row in diff)
+        energy = float(positive_part_energy(diff, dx).max())
         return viol, energy
 
     results = _map_paths(worker, n_paths, threads, "comparison path")
@@ -479,6 +479,7 @@ def run_consistency(
     grid: GridSpec,
     *,
     n_paths: int = 1,
+    threads: int = 1,
 ) -> ExperimentReport:
     """Coupled solves at two cutoffs agree before the first excess jump.
 
@@ -525,7 +526,7 @@ def run_consistency(
         vacuous = i_max == 0
         return diff / scale, vacuous, math.inf if math.isinf(r_stop) else r_stop
 
-    results = _map_paths(one_path, n_paths, 1, "consistency path")
+    results = _map_paths(one_path, n_paths, threads, "consistency path")
     rels = [r[0] for r in results]
     vacuous_count = sum(1 for r in results if r[1])
     max_rel = float(np.max(rels))
@@ -594,12 +595,7 @@ def run_galerkin_convergence(
     def worker(idx: int) -> float:
         m = m_list[idx]
         gal = spectral_to_grid(solve_galerkin(problem, rn, m, grid), grid)
-        return float(
-            max(
-                grid_h_norm(gal.values[i] - mild.values[i], dx)
-                for i in range(grid.n_t + 1)
-            )
-        )
+        return float(grid_h_norm(gal.values - mild.values, dx).max())
 
     errors = _map_paths(worker, len(m_list), threads, "galerkin_convergence m_list entry")
     non_increasing = all(
@@ -651,7 +647,7 @@ def run_moment_estimate(
             problem.params, problem.trunc, problem.dom, path_seed(seed, i)
         )
         u = solve_mild(problem, rn, grid)
-        return np.array([grid_lp_norm_p(row, dx, p) for row in u.values])
+        return grid_lp_norm_p(u.values, dx, p)
 
     norms = np.stack(_map_paths(worker, 2 * n_paths, threads, "moment_estimate path"))
     mean_half = norms[:n_paths].mean(axis=0)

@@ -197,16 +197,19 @@ def _mode_rates(m: int, length_L: float) -> np.ndarray:
     return (np.arange(1, m + 1) * math.pi / length_L) ** 2 / 2.0
 
 
-def grid_h_norm(row: np.ndarray, dx: float) -> float:
-    """Trapezoid L2 norm of grid-node values."""
-    sq = np.asarray(row, float) ** 2
-    return math.sqrt(dx * (0.5 * sq[0] + sq[1:-1].sum() + 0.5 * sq[-1]))
+def _trapezoid(values: np.ndarray, dx: float):
+    """Trapezoid rule over the last axis of grid-node values."""
+    return dx * (0.5 * values[..., 0] + values[..., 1:-1].sum(axis=-1) + 0.5 * values[..., -1])
 
 
-def grid_lp_norm_p(row: np.ndarray, dx: float, p: float) -> float:
-    """Trapezoid value of int |row|^p dx (the p-th power, not its root)."""
-    ap = np.abs(np.asarray(row, float)) ** p
-    return float(dx * (0.5 * ap[0] + ap[1:-1].sum() + 0.5 * ap[-1]))
+def grid_h_norm(values: np.ndarray, dx: float):
+    """Trapezoid L2 norm of grid-node values, per row of a 2-d array."""
+    return np.sqrt(_trapezoid(np.asarray(values, float) ** 2, dx))
+
+
+def grid_lp_norm_p(values: np.ndarray, dx: float, p: float):
+    """Trapezoid int |u|^p dx (the p-th power, not its root), per row of a 2-d array."""
+    return _trapezoid(np.abs(np.asarray(values, float)) ** p, dx)
 
 
 # -- mild-form causal-march solver ----------------------------------------
@@ -617,33 +620,19 @@ def weak_form_residual(
         + np.asarray(chi(nodes - hh), float)
     ) / hh**2
 
-    def pair(row, weights):
-        prod = row * weights
-        return dx * (0.5 * prod[0] + prod[1:-1].sum() + 0.5 * prod[-1])
-
     rows = sol.values[: idx + 1]
-    times = np.arange(idx + 1) * dt
+    times = np.arange(idx + 1)[:, None] * dt
 
-    lhs = pair(rows[-1], chi_v)
-    rhs = pair(rows[0], chi_v)
-
-    lap_terms = np.array([pair(r, chi_dd) for r in rows])
-    rhs += 0.5 * np.trapezoid(lap_terms, dx=dt)
-
-    f_terms = np.array(
-        [pair(np.asarray(problem.drift.evaluate(s, nodes, r), float), chi_v)
-         for s, r in zip(times, rows)]
-    )
-    rhs += np.trapezoid(f_terms, dx=dt)
+    lhs = _trapezoid(rows[-1] * chi_v, dx)
+    rhs = _trapezoid(rows[0] * chi_v, dx)
+    rhs += 0.5 * np.trapezoid(_trapezoid(rows * chi_dd, dx), dx=dt)
+    f_rows = np.asarray(problem.drift.evaluate(times, nodes, rows), float)
+    rhs += np.trapezoid(_trapezoid(f_rows * chi_v, dx), dx=dt)
 
     mu = noise.compensator_mu
-    phi_rows = [
-        np.asarray(problem.noise_coef.evaluate(s, nodes, r), float)
-        for s, r in zip(times, rows)
-    ]
     if mu != 0.0:
-        comp_terms = np.array([pair(pr, chi_v) for pr in phi_rows])
-        rhs -= mu * np.trapezoid(comp_terms, dx=dt)
+        phi_rows = np.asarray(problem.noise_coef.evaluate(times, nodes, rows), float)
+        rhs -= mu * np.trapezoid(_trapezoid(phi_rows * chi_v, dx), dx=dt)
 
     t_end = idx * dt
     for tau, xj, zj in zip(noise.taus, noise.xs, noise.zs):

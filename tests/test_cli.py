@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -16,6 +17,7 @@ from stableheat.cli import (
     main,
 )
 from stableheat.experiments import path_seed
+from stableheat.noise import SpaceTimeDomain, StableParams, TruncationSpec
 from stableheat.solvers import GridSpec
 
 BASE_CONFIG = {
@@ -81,6 +83,32 @@ def malformed_block_cases():
                 f"{name}.{key}",
                 id=f"{name}-{case}-{key}",
             )
+
+
+# The fixed sections of a config and the class each one builds.
+SECTIONS = {
+    "stable": StableParams,
+    "truncation": TruncationSpec,
+    "domain": SpaceTimeDomain,
+    "grid": GridSpec,
+}
+
+
+def fixed_section_cases():
+    """(section, block, where) per parameter of each section's class, read
+    from its signature: a string, a boolean (for a key that is not a bool),
+    the key missing (when it is required) and the key misspelled."""
+    for section, cls in SECTIONS.items():
+        for key, param in inspect.signature(cls).parameters.items():
+            blocks = {"string": dict(BASE_CONFIG[section], **{key: "x"})}
+            if param.annotation != "bool":
+                blocks["boolean"] = dict(BASE_CONFIG[section], **{key: True})
+            if param.default is param.empty:
+                blocks["missing"] = {k: v for k, v in BASE_CONFIG[section].items() if k != key}
+            blocks["unknown"] = dict(BASE_CONFIG[section], **{f"{key}_typo": 1.0})
+            for case, block in blocks.items():
+                where = f"{section}.{key}_typo" if case == "unknown" else f"{section}.{key}"
+                yield pytest.param(section, block, where, id=f"{section}-{case}-{key}")
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -337,6 +365,53 @@ class TestSolve:
         assert "moment_estimate.p" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            ({"noise_coef": {"monotone_in_u": "false"}}, "coefficients.noise_coef.monotone_in_u"),
+            ({"noise_coef": {"monotone_in_u": 1}}, "coefficients.noise_coef.monotone_in_u"),
+            ({"drift": {"lipschitz_bound": True}}, "coefficients.drift.lipschitz_bound"),
+            ({"version": True}, "config.version"),
+        ],
+        ids=["string-flag-override", "number-flag-override", "boolean-bound-override",
+             "boolean-version"],
+    )
+    def test_value_of_the_wrong_type_exits_validation(self, tmp_path, capsys, overrides, where):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        for key, value in overrides.items():
+            if key in raw["coefficients"]:
+                raw["coefficients"][key].update(value)
+            else:
+                raw[key] = value
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_family_param_counts_as_absent(self, tmp_path):
+        outputs = []
+        for i, extra in enumerate(({}, {"u_slope": None})):
+            noise_coef = {
+                "family": "sine_modulated",
+                "params": dict({"amplitude": 0.5, "mode": 1}, **extra),
+            }
+            cfg = write_config(
+                tmp_path,
+                {"coefficients": dict(BASE_CONFIG["coefficients"], noise_coef=noise_coef)},
+                name=f"config{i}.json",
+            )
+            out = tmp_path / f"o{i}"
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            outputs.append({
+                p.relative_to(out).as_posix(): p.read_bytes()
+                for p in sorted(out.rglob("*"))
+                if p.is_file()
+            })
+        assert len(outputs[0]) == 3
+        assert outputs[0] == outputs[1]
+
     def test_integral_float_accepted_for_integer_key(self, tmp_path):
         cfg = write_config(tmp_path, {"grid": {"n_t": 16.0, "n_x": 8}})
         out = tmp_path / "o"
@@ -487,6 +562,19 @@ class TestVerify:
         self, tmp_path, capsys, experiments, where
     ):
         cfg = write_config(tmp_path, {"experiments": experiments})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert where in capsys.readouterr().err
+        assert not list((out / "reports").glob("*"))
+
+    @pytest.mark.parametrize("section, block, where", list(fixed_section_cases()))
+    def test_malformed_fixed_section_exits_validation(
+        self, tmp_path, capsys, section, block, where
+    ):
+        cfg = write_config(
+            tmp_path,
+            {section: block, "experiments": {"stopping_law": VALID_BLOCKS["stopping_law"]}},
+        )
         out = tmp_path / "o"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
         assert where in capsys.readouterr().err

@@ -193,6 +193,20 @@ class TestConsistency:
         with pytest.raises(ParameterError):
             run_consistency(p, 17, 0.5, 2.0, GridSpec(16, 8))
 
+    def test_report_bytes_equal_at_any_thread_count(self, tmp_path):
+        p = problem(trunc=TruncationSpec(1.0, 0.02))
+        written = []
+        for threads in (1, 3):
+            out = tmp_path / f"threads{threads}"
+            run_consistency(p, 17, 0.5, 1.0, GridSpec(16, 8), n_paths=4, threads=threads).write(out)
+            written.append({
+                path.name: path.read_bytes()
+                for path in sorted(out.iterdir())
+                if not path.name.endswith("_timing.json")
+            })
+        assert set(written[0]) == {"consistency.json", "consistency_paths.csv"}
+        assert written[0] == written[1]
+
 
 class TestGalerkinConvergence:
     def test_deterministic_tail_strictly_decreasing(self):

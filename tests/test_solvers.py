@@ -19,6 +19,7 @@ from stableheat.coefficients import (
 )
 from stableheat import solvers
 from stableheat.errors import BlowUpError, HypothesisError, ParameterError
+from stableheat.experiments import positive_part_energy
 from stableheat.kernel import _TAIL_FRACTION, KernelEvaluator
 from stableheat.noise import (
     NoiseRealization,
@@ -829,3 +830,20 @@ class TestNormHelpers:
         row = np.sin(np.pi * xs)
         val = grid_lp_norm_p(row, 1.0 / 64, 2.0)
         assert val == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 17, 129])
+    @pytest.mark.parametrize("n_nodes", [3, 9, 17, 33, 65, 257, 1025])
+    def test_rows_of_a_2d_array_equal_the_row_calls_bitwise(self, n_rows, n_nodes):
+        # the experiments take norms of whole solutions, so numpy's sum over
+        # the last axis must add each row in the order of a 1-d sum
+        values = np.random.default_rng(n_rows * n_nodes).standard_normal((n_rows, n_nodes))
+        dx = 1.0 / (n_nodes - 1)
+        for norm in (
+            lambda v: grid_h_norm(v, dx),
+            lambda v: grid_lp_norm_p(v, dx, 1.7),
+            lambda v: grid_lp_norm_p(v, dx, 2.0),
+            lambda v: positive_part_energy(v, dx),
+        ):
+            whole = norm(values)
+            assert whole.shape == (n_rows,)
+            assert whole.tobytes() == np.array([norm(row) for row in values]).tobytes()
