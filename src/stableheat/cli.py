@@ -175,7 +175,7 @@ def _parse_family(section, table: dict, length_L: float, where: str):
     if "length" in _parameters(make) and params.get("length") is None:
         params["length"] = length_L
     if params.get("base") is not None:
-        params["base"] = _parse_family(params["base"], table, length_L, where + ".base")
+        params["base"] = _parse_family(params["base"], table, length_L, where + ".params.base")
     params = _kwargs(make, params, f"{where}.params")
     overrides = {k: v for k, v in section.items() if k not in ("family", "params")}
     try:
@@ -437,10 +437,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str, threads: int = 1) -> int:
     os.makedirs(report_dir, exist_ok=True)
     outcomes = []
     for name, kwargs in cfg.experiments.items():
-        run = getattr(exp, f"run_{name}")
-        if "threads" in _parameters(run):
-            kwargs = dict(kwargs, threads=threads)
-        report = run(**kwargs)
+        report = getattr(exp, f"run_{name}")(**kwargs, threads=threads)
         report.write(report_dir)
         outcomes.append((name, report.passed))
     _write_json(

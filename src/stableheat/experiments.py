@@ -361,6 +361,7 @@ def run_comparison(
             f"u0 <= v0 (max excess {float(du0.max()):.3e})"
         )
 
+    given = {} if tol is None else {"tol": tol}  # a calibrated tol follows from the inputs
     if tol is None:
         tol = 10.0 * calibrate_grid_error(problem_u, grid)
     dx = grid.dx(L)
@@ -392,6 +393,7 @@ def run_comparison(
             "problem_v": problem_v.canonical(),
             "grid": (grid.n_t, grid.n_x),
             "n_paths": n_paths,
+            **given,
         },
         n_paths=n_paths,
         estimates={
@@ -435,6 +437,7 @@ def run_nonnegativity(
                 "not vanish at zero state"
             )
     problem.validate()
+    given = {} if tol is None else {"tol": tol}  # a calibrated tol follows from the inputs
     if tol is None:
         tol = 10.0 * calibrate_grid_error(problem, grid)
 
@@ -460,7 +463,7 @@ def run_nonnegativity(
         "nonnegativity",
         t_start,
         seed,
-        {"problem": problem.canonical(), "grid": (grid.n_t, grid.n_x), "n_paths": n_paths},
+        {"problem": problem.canonical(), "grid": (grid.n_t, grid.n_x), "n_paths": n_paths, **given},
         n_paths=n_paths,
         estimates={"min_over_paths": min_all, "tolerance": tol},
         confidence_interval=None,
@@ -506,8 +509,6 @@ def run_consistency(
         raise ParameterError(
             "need small_cutoff_eps < K_small < K_large <= big_cutoff_K"
         )
-    T = problem.dom.horizon_T
-    dt = grid.dt(T)
 
     def one_path(i: int):
         seed_i = seed if n_paths == 1 else path_seed(seed, i)
@@ -517,9 +518,7 @@ def run_consistency(
         u_small = solve_mild(problem.with_truncation(r_small.truncation), r_small, grid)
         u_large = solve_mild(problem.with_truncation(r_large.truncation), r_large, grid)
         r_stop = stopping_time(r_large, K_small)
-        i_max = grid.n_t if math.isinf(r_stop) else max(
-            0, int(math.ceil(r_stop / dt - 1e-12)) - 1
-        )
+        i_max = grid.n_t if math.isinf(r_stop) else grid.step_of(problem.dom.horizon_T, r_stop)
         rows = slice(0, i_max + 1)
         diff = float(np.max(np.abs(u_small.values[rows] - u_large.values[rows])))
         scale = max(1.0, float(np.max(np.abs(u_small.values[rows]))))

@@ -30,6 +30,9 @@ once, before it steps in time, and integrates the resulting finite
 jump-driven stiff system exactly between events with an exponential
 step, applying jumps at their exact times.  It and ``weak_form_residual``
 read the mild solver's quadrature nodes from the same per-grid constants.
+Both solvers and the weak-form residual put a jump at time tau in the
+step j with s_j < tau <= s_(j+1) of ``GridSpec.times`` (step 0 for
+tau = 0): ``GridSpec.step_of`` is that one rule.
 
 Both solvers are deterministic functions of (problem, noise, grid) and
 share immutable inputs, so concurrent solves need no locking.
@@ -92,6 +95,11 @@ class GridSpec:
 
     def times(self, horizon_T: float) -> np.ndarray:
         return np.linspace(0.0, horizon_T, self.n_t + 1)
+
+    def step_of(self, horizon_T: float, t):
+        """The step j with s_j < t <= s_(j+1) of ``times``, and 0 at t = 0:
+        the one step rule for jumps in both solvers and the diagnostics."""
+        return np.searchsorted(self.times(horizon_T)[1:-1], t, "left")
 
     def nodes(self, length_L: float) -> np.ndarray:
         return np.linspace(0.0, length_L, self.n_x + 1)
@@ -273,14 +281,13 @@ def _integrand_column(drift, phi, mu, s, y_q, u, gauss_row):
     return col
 
 
-def _jump_table(g, noise, n_t):
-    """What the causal march reads of the jumps on the grid ``g`` of n_t steps.
+def _jump_table(g, noise, grid):
+    """What the causal march reads of the jumps on ``grid`` (constants ``g``).
 
     None of it depends on the state, so a solve builds it once, with one
-    ``eval`` call per kind.  Step j spans (j*dt, (j+1)*dt]; one
-    searchsorted on the right ends puts each jump in exactly one step (one
-    past the last right end in the last), back after its left end and
-    ahead before its right end.  The table holds first (the jumps of step
+    ``eval`` call per kind.  ``GridSpec.step_of`` puts each jump in one
+    step (s_j, s_(j+1)], back after its left end and ahead before its
+    right end.  The table holds first (the jumps of step
     j are first[j]:first[j+1]) and, per time-sorted jump l, t, x, z, back,
     near[l] = back_l < lag_min (there the kernel acts as the identity),
     rows[l] = G(back_l, x_l, y_q) * w_q (zero where near), jj[l][k] =
@@ -290,14 +297,12 @@ def _jump_table(g, noise, n_t):
     and the modes e_back[l], e_ahead[l] = exp(-back_l rates) e(x_l),
     exp(-ahead_l rates) e(x_l).
     """
-    ke, x_all, y_q, w_q, rates, dt = g.ke, g.x_all, g.y_q, g.w_q, g.rates, g.dt
-    t, x, z = noise.taus, noise.xs, noise.zs
-    step = np.arange(n_t)
-    right = (step + 1) * dt
-    in_step = np.minimum(np.searchsorted(right, t, "left"), n_t - 1)
-    first = np.searchsorted(in_step, np.arange(n_t + 1), "left")
-    back = t - (step * dt)[in_step]
-    ahead = right[in_step] - t
+    ke, x_all, y_q, w_q, rates = g.ke, g.x_all, g.y_q, g.w_q, g.rates
+    T, t, x, z = noise.domain.horizon_T, noise.taus, noise.xs, noise.zs
+    s, in_step = grid.times(T), grid.step_of(T, t)
+    first = np.searchsorted(in_step, np.arange(grid.n_t + 1), "left")
+    back = t - s[in_step]
+    ahead = s[in_step + 1] - t
     # Jump l pairs with the earlier jumps k = start_l .. l-1 of its own
     # step and the step before.
     start = first[np.maximum(in_step - 1, 0)]
@@ -422,7 +427,7 @@ def solve_mild(
     values[0, [0, -1]] = 0.0
     _march(
         problem.drift.bind(), problem.noise_coef.bind(), noise, g,
-        problem.init.values(g.y_q), _jump_table(g, noise, n_t), gauss, values[1:],
+        problem.init.values(g.y_q), _jump_table(g, noise, grid), gauss, values[1:],
     )
 
     return GridSolution(
@@ -521,25 +526,23 @@ def solve_galerkin(
         lam_d = rates * delta
         return np.exp(-lam_d) * a_vec + delta * _phi1(lam_d) * b
 
-    jump_idx = 0
-    taus = noise.taus
+    taus, s = noise.taus, grid.times(T).tolist()
+    first = np.searchsorted(grid.step_of(T, taus), np.arange(n_t + 1), "left")
     increments = _basis_matrix(noise.xs, m, L) * noise.zs[:, None]  # (n_jumps, m)
     for i in range(n_t):
-        t0, t1 = i * dt, (i + 1) * dt
-        t_cur = t0
-        while jump_idx < taus.size and taus[jump_idx] <= t1:
-            tau = float(taus[jump_idx])
+        t_cur = s[i]
+        for l in range(first[i], first[i + 1]):
+            tau = float(taus[l])
             a = advance(a, t_cur, tau - t_cur, i)
             u_q = basis @ a
             pv = phi(tau, y_q, u_q)
-            spike = basis @ increments[jump_idx]
+            spike = basis @ increments[l]
             a = a + basis.T @ (w_q * pv * spike)
             t_cur = tau
-            jump_idx += 1
-        a = advance(a, t_cur, t1 - t_cur, i)
+        a = advance(a, t_cur, s[i + 1] - t_cur, i)
         if not np.all(np.isfinite(a)):
             raise BlowUpError(
-                f"non-finite coefficients in step ({t0:.6g}, {t1:.6g}] of the "
+                f"non-finite coefficients in step ({s[i]:.6g}, {s[i + 1]:.6g}] of the "
                 f"{m}-mode Galerkin solve, noise seed {noise.seed}",
                 path_seed=noise.seed,
             )
@@ -634,12 +637,11 @@ def weak_form_residual(
         phi_rows = np.asarray(problem.noise_coef.evaluate(times, nodes, rows), float)
         rhs -= mu * np.trapezoid(_trapezoid(phi_rows * chi_v, dx), dx=dt)
 
-    t_end = idx * dt
+    t_end = grid.times(T)[idx]
     for tau, xj, zj in zip(noise.taus, noise.xs, noise.zs):
         if tau > t_end:
             break
-        i_pre = max(0, min(idx, int(math.ceil(tau / dt - 1e-12)) - 1))
-        u_pre = float(np.interp(xj, nodes, sol.values[i_pre]))
+        u_pre = float(np.interp(xj, nodes, sol.values[grid.step_of(T, tau)]))
         phi_val = float(problem.noise_coef.evaluate(tau, xj, u_pre))
         rhs += phi_val * float(np.interp(xj, nodes, chi_v)) * zj
 

@@ -272,7 +272,7 @@ class TestSolve:
                         },
                     }
                 },
-                "coefficients.noise_coef.base",
+                "coefficients.noise_coef.params.base",
             ),
             (
                 {

@@ -309,6 +309,14 @@ class TestReports:
         b = run_moment_estimate(p, GridSpec(16, 8), 4, 2.0, seed=5, threads=3)
         assert a.to_json_dict() == b.to_json_dict()
 
+    @pytest.mark.parametrize("run", [run_nonnegativity, run_comparison])
+    def test_an_explicit_tol_enters_the_inputs_hash(self, run):
+        # reports checked against different tolerances must not share a hash
+        p = problem(params=POS, init=ic_zero())
+        args = (p,) if run is run_nonnegativity else (p, p)
+        hashes = {run(*args, GridSpec(16, 8), 2, 5, tol).inputs_hash for tol in (None, 1e-9, 0.5)}
+        assert len(hashes) == 3
+
 
 class TestCalibration:
     def test_error_shrinks_with_grid(self):

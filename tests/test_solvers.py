@@ -105,7 +105,7 @@ def march(problem, noise, grid):
     T, L = problem.dom.horizon_T, problem.dom.length_L
     g = _grid_constants(L, T, grid)
     ke, dt, x_all, y_q, w_q = g.ke, g.dt, g.x_all, g.y_q, g.w_q
-    jumps = _jump_table(g, noise, grid.n_t)
+    jumps = _jump_table(g, noise, grid)
     gauss = None
     if problem.trunc.gaussian_correction:
         gauss = noise.gaussian_increments(grid.n_t, y_q.size) / (dt * w_q)
@@ -357,6 +357,25 @@ class TestGridConstants:
             for other in built[i + 1 :]:
                 for a in self.arrays(g):
                     assert not any(np.shares_memory(a, b) for b in self.arrays(other))
+
+
+class TestStepOf:
+    GRIDS = [(T, n_t) for T in (1.0, 0.3) for n_t in (8, 12, 49, 64)]
+
+    @pytest.mark.parametrize("T, n_t", GRIDS)
+    def test_each_time_lands_in_the_step_that_ends_at_or_after_it(self, T, n_t):
+        # every grid time, its neighbours one ulp either side, 0 and T: step
+        # j holds s_j < t <= s_(j+1) of grid.times(T), and step 0 holds t = 0
+        grid = GridSpec(n_t, 16)
+        s = grid.times(T)
+        t = np.concatenate([[0.0, T], s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf)])
+        t = t[(t >= 0.0) & (t <= T)]
+        j = grid.step_of(T, t)
+        assert j.shape == t.shape and np.all((j >= 0) & (j < n_t))
+        later = t > 0.0
+        assert np.all(s[j[later]] < t[later]) and np.all(t <= s[j + 1])
+        assert np.all(j[~later] == 0)
+        assert grid.step_of(T, 0.0) == 0 and grid.step_of(T, T) == n_t - 1
 
 
 class TestMildContracts:
@@ -666,6 +685,30 @@ class TestGalerkin:
         )
         np.testing.assert_allclose(sol.coeffs[:, 0], expected, atol=1e-13)
 
+    @pytest.mark.parametrize("T, n_t", TestStepOf.GRIDS)
+    def test_jump_channel_exact(self, T, n_t):
+        # zero drift, phi = 1, zero data and symmetric tails: mode n gains
+        # z_l e_n(x_l) at each jump and otherwise decays at its rate, so
+        # a_n(s_i) = sum_(tau_l <= s_i) z_l e_n(x_l) exp(-lambda_n (s_i - tau_l)).
+        # Jumps at 0, at T (n_t*dt < T at T = 1, n_t = 49), at every third
+        # grid time and one ulp above every fifth
+        dom, grid, m = SpaceTimeDomain(T, 1.0), GridSpec(n_t, 16), 4
+        s = grid.times(T)
+        taus = np.unique(np.concatenate([[0.0, T], s[::3], np.nextafter(s[:-1:5], np.inf)]))
+        xs = np.linspace(0.05, 0.95, taus.size)
+        zs = np.where(np.arange(taus.size) % 2, -0.6, 0.9)
+        noise = replace(manual_noise(taus, xs, zs), domain=dom)
+        prob = replace(make_problem(noise_coef=constant(1.0), init=ic_zero()), dom=dom)
+        coeffs = solve_galerkin(prob, noise, m, grid).coeffs
+        rates = (np.arange(1, m + 1) * math.pi) ** 2 / 2.0
+        kicks = _basis_matrix(xs, m, 1.0) * zs[:, None]
+        exact = np.array([
+            (kicks * np.exp(-(si - taus)[:, None] * rates))[taus <= si].sum(axis=0)
+            for si in s[1:]
+        ])
+        assert np.all(coeffs[0] == 0.0)
+        np.testing.assert_allclose(coeffs[1:], exact, rtol=0, atol=1e-13)
+
     def test_galerkin_approaches_mild(self):
         prob = make_problem(
             drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0)
@@ -796,6 +839,21 @@ class TestWeakFormResidual:
         r_coarse = weak_form_residual(coarse, noise, t=1.0)
         r_fine = weak_form_residual(fine, noise, t=1.0)
         assert r_fine < r_coarse
+
+    @pytest.mark.parametrize("gaussian, factor", [(False, 3.0), (True, 2.0)])
+    def test_compensator_and_gaussian_terms_refine(self, gaussian, factor):
+        # a jump-free one-sided realization: the residual at t = 1 reads the
+        # compensator term -mu*phi (mu = 6.944) and, with the correction on,
+        # the Gaussian field's term; it must fall by factor per doubling
+        trunc = TruncationSpec(1.0, 0.05, gaussian)
+        noise = replace(manual_noise([], [], [], trunc=trunc, params=ASYM), seed=3)
+        prob = make_problem(noise_coef=constant(1.0), trunc=trunc, params=ASYM)
+        assert noise.compensator_mu == pytest.approx(6.944, abs=1e-3)
+        res = [
+            weak_form_residual(solve_mild(prob, noise, GridSpec(n_t, n_t // 2)), noise, t=1.0)
+            for n_t in (32, 64, 128, 256)
+        ]
+        assert all(coarse >= factor * fine for coarse, fine in zip(res, res[1:]))
 
     def test_invalid_test_function_rejected(self):
         prob = make_problem(init=ic_zero())
