@@ -25,8 +25,9 @@ callers that evaluate one coefficient many times; ``evaluate`` is that
 formula plus broadcasting.
 
 Each constructor fills in tight declared bounds; audits re-check the
-declarations by randomized finite differences plus the family's
-analytic extreme points, and any failure carries a concrete witness.
+declarations on the problem's own domain [0, T] x [0, L] by randomized
+finite differences plus the family's analytic extreme points, and any
+failure carries a concrete witness, the first violating point.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import HypothesisError, ParameterError
+from .noise import SpaceTimeDomain
 
 __all__ = [
     "CoefficientSpec",
@@ -252,31 +254,31 @@ COEFFICIENT_FAMILIES = {
 
 # -- audits -------------------------------------------------------------
 
-# Seed, state range and sample count of every audit, so that a verdict is a
-# pure function of the coefficients and the (t, x) ranges audited.
+# Seed, state range and sample counts of every audit, so that a verdict is
+# a pure function of the coefficients (or initial data) and the domain.
 _AUDIT_SEED = 0
 _AUDIT_U_RANGE = (-50.0, 50.0)
 _AUDIT_SAMPLES = 10000
+_DIRICHLET_SAMPLES = 512
+_NONNEGATIVE_SAMPLES = 2048
 
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Outcome of a randomized coefficient audit."""
+    """Outcome of a randomized coefficient audit that passed."""
 
     passed: bool
     n_samples: int
-    checked: tuple[str, ...]
-    witness: tuple | None = None
-    message: str = ""
 
 
-def _sample_points(n, t_range, x_range, extremes):
-    """n random (t, x, u, v) points, then u = ``extremes`` (v reversed)
-    at the earliest time, spread over the x range."""
+def _sample_points(n, dom: SpaceTimeDomain, extremes):
+    """n random (t, x, u, v) points of [0, T] x [0, L], then u = ``extremes``
+    (v reversed) at t = 0, spread over [0, L]."""
     rng = np.random.default_rng(_AUDIT_SEED)
     k = extremes.size
-    t = np.concatenate([rng.uniform(*t_range, size=n), np.full(k, t_range[0])])
-    x = np.concatenate([rng.uniform(*x_range, size=n), np.linspace(*x_range, k)])
+    T, L = dom.horizon_T, dom.length_L
+    t = np.concatenate([rng.uniform(0.0, T, size=n), np.full(k, 0.0)])
+    x = np.concatenate([rng.uniform(0.0, L, size=n), np.linspace(0.0, L, k)])
     u = np.concatenate([rng.uniform(*_AUDIT_U_RANGE, size=n), extremes])
     v = np.concatenate([rng.uniform(*_AUDIT_U_RANGE, size=n), np.flip(extremes)])
     return t, x, u, v
@@ -287,15 +289,26 @@ def _u_extremes(spec: CoefficientSpec) -> np.ndarray:
     return np.asarray([*_AUDIT_U_RANGE, 0.0, *edges])
 
 
+def _raise_at_first(bad, what, **coords) -> None:
+    """Raise :class:`HypothesisError` saying ``what`` is violated at the first
+    point where ``bad`` holds; the ``coords`` arrays read there are the witness."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        witness = tuple(float(c[hits[0]]) for c in coords.values())
+        raise HypothesisError(
+            f"{what} violated at ({','.join(coords)})={witness}", witness=witness
+        )
+
+
 def validate_hypothesis(
     spec: CoefficientSpec,
+    dom: SpaceTimeDomain,
     require_monotone: bool = False,
     *,
     n_samples: int = _AUDIT_SAMPLES,
-    t_range=(0.0, 1.0),
-    x_range=(0.0, 1.0),
 ) -> AuditReport:
-    """Randomized audit of the declared Lipschitz/growth/monotone metadata.
+    """Randomized audit of the declared Lipschitz/growth/monotone metadata on
+    the problem's domain: t in [0, T] and x in [0, L] of ``dom``.
 
     Raises :class:`HypothesisError` with a witness tuple on the first
     violation; the audit samples random (t, x, u, v) quadruples plus the
@@ -303,87 +316,43 @@ def validate_hypothesis(
     ``n_samples`` points.
     """
     slack = 1e-9 * (1.0 + spec.lipschitz_bound + spec.growth_bound)
-    t_all, x_all, u_all, v_all = _sample_points(
-        n_samples, t_range, x_range, _u_extremes(spec)
+    t, x, u, v = _sample_points(n_samples, dom, _u_extremes(spec))
+    fu, fv = spec.evaluate(t, x, u), spec.evaluate(t, x, v)
+    _raise_at_first(
+        np.abs(fu - fv) > spec.lipschitz_bound * np.abs(u - v) + slack,
+        f"Lipschitz bound {spec.lipschitz_bound}", t=t, x=x, u=u, v=v,
     )
-
-    fu = np.asarray(spec.evaluate(t_all, x_all, u_all))
-    fv = np.asarray(spec.evaluate(t_all, x_all, v_all))
-
-    lip_lhs = np.abs(fu - fv)
-    lip_rhs = spec.lipschitz_bound * np.abs(u_all - v_all) + slack
-    bad = np.flatnonzero(lip_lhs > lip_rhs)
-    if bad.size:
-        i = int(bad[0])
-        witness = (float(t_all[i]), float(x_all[i]), float(u_all[i]), float(v_all[i]))
-        raise HypothesisError(
-            f"Lipschitz bound {spec.lipschitz_bound} violated at "
-            f"(t,x,u,v)={witness}: |f(u)-f(v)|={lip_lhs[i]:.6g}",
-            witness=witness,
-        )
-
-    growth_bad = np.flatnonzero(
-        np.abs(fu) > spec.growth_bound * (1.0 + np.abs(u_all)) + slack
+    _raise_at_first(
+        np.abs(fu) > spec.growth_bound * (1.0 + np.abs(u)) + slack,
+        f"growth bound {spec.growth_bound}", t=t, x=x, u=u,
     )
-    if growth_bad.size:
-        i = int(growth_bad[0])
-        witness = (float(t_all[i]), float(x_all[i]), float(u_all[i]))
-        raise HypothesisError(
-            f"growth bound {spec.growth_bound} violated at (t,x,u)={witness}",
-            witness=witness,
-        )
-
-    checked = ["lipschitz", "growth"]
     if require_monotone:
         if not spec.monotone_in_u:
             raise HypothesisError(
                 f"family {spec.family!r} with params {dict(spec.params)} is not "
-                "declared monotone in u",
-                witness=None,
+                "declared non-decreasing in u"
             )
-        lo = np.minimum(u_all, v_all)
-        hi = np.maximum(u_all, v_all)
-        flo = np.asarray(spec.evaluate(t_all, x_all, lo))
-        fhi = np.asarray(spec.evaluate(t_all, x_all, hi))
-        mono_bad = np.flatnonzero(flo > fhi + slack)
-        if mono_bad.size:
-            i = int(mono_bad[0])
-            witness = (float(t_all[i]), float(x_all[i]), float(lo[i]), float(hi[i]))
-            raise HypothesisError(
-                f"monotonicity violated at (t,x,u,v)={witness}", witness=witness
-            )
-        checked.append("monotone")
-
-    return AuditReport(
-        passed=True,
-        n_samples=int(t_all.size),
-        checked=tuple(checked),
-    )
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        _raise_at_first(
+            spec.evaluate(t, x, lo) > spec.evaluate(t, x, hi) + slack,
+            "non-decreasing in u", t=t, x=x, u=lo, v=hi,
+        )
+    return AuditReport(passed=True, n_samples=int(t.size))
 
 
 def dominates(
-    spec_f: CoefficientSpec,
-    spec_g: CoefficientSpec,
-    *,
-    t_range=(0.0, 1.0),
-    x_range=(0.0, 1.0),
+    spec_f: CoefficientSpec, spec_g: CoefficientSpec, dom: SpaceTimeDomain
 ) -> AuditReport:
-    """Randomized check that f <= g on the sampled set (ordering gate)."""
+    """Randomized check that f <= g on the problem's domain: t in [0, T] and
+    x in [0, L] of ``dom`` (ordering gate)."""
     extremes = np.concatenate([_u_extremes(spec_f), _u_extremes(spec_g)])
-    t, x, u, _ = _sample_points(_AUDIT_SAMPLES, t_range, x_range, extremes)
-    fv = np.asarray(spec_f.evaluate(t, x, u))
-    gv = np.asarray(spec_g.evaluate(t, x, u))
-    slack = 1e-12 * (1.0 + np.abs(gv))
-    bad = np.flatnonzero(fv > gv + slack)
-    if bad.size:
-        i = int(bad[0])
-        witness = (float(t[i]), float(x[i]), float(u[i]))
-        raise HypothesisError(
-            f"ordering f <= g violated at (t,x,u)={witness}: "
-            f"f={fv[i]:.6g} > g={gv[i]:.6g}",
-            witness=witness,
-        )
-    return AuditReport(passed=True, n_samples=int(u.size), checked=("ordering",))
+    t, x, u, _ = _sample_points(_AUDIT_SAMPLES, dom, extremes)
+    gv = spec_g.evaluate(t, x, u)
+    _raise_at_first(
+        spec_f.evaluate(t, x, u) > gv + 1e-12 * (1.0 + np.abs(gv)),
+        "ordering f <= g", t=t, x=x, u=u,
+    )
+    return AuditReport(passed=True, n_samples=int(u.size))
 
 
 # -- initial conditions ---------------------------------------------------
@@ -403,9 +372,9 @@ class InitialCondition:
         xa = np.asarray(x, dtype=float)
         return INITIAL_FAMILIES[self.family].bind(self.params)(xa)
 
-    def validate_dirichlet(self, length_L: float, n_check: int = 512) -> None:
+    def validate_dirichlet(self, length_L: float) -> None:
         """Finiteness plus exact vanishing at both endpoints."""
-        xs = np.linspace(0.0, length_L, n_check)
+        xs = np.linspace(0.0, length_L, _DIRICHLET_SAMPLES)
         v = self.values(xs)
         if not np.all(np.isfinite(v)):
             raise ParameterError("initial condition is non-finite on [0, L]")
@@ -417,8 +386,8 @@ class InitialCondition:
                 "absorbing boundary"
             )
 
-    def is_nonnegative(self, length_L: float, n_check: int = 2048) -> bool:
-        xs = np.linspace(0.0, length_L, n_check)
+    def is_nonnegative(self, length_L: float) -> bool:
+        xs = np.linspace(0.0, length_L, _NONNEGATIVE_SAMPLES)
         return bool(np.all(self.values(xs) >= 0.0))
 
     def canonical(self) -> dict:

@@ -336,19 +336,8 @@ def run_comparison(
         )
     if problem_u.noise_coef != problem_v.noise_coef:
         raise ParameterError("comparison requires a shared noise coefficient")
-    t_range = (0.0, problem_u.dom.horizon_T)
-    x_range = (0.0, problem_u.dom.length_L)
-    try:
-        validate_hypothesis(
-            problem_u.noise_coef, True, t_range=t_range, x_range=x_range
-        )
-    except HypothesisError as exc:
-        raise HypothesisError(
-            f"comparison hypothesis violated: noise coefficient must be "
-            f"non-decreasing in the state ({exc})",
-            witness=exc.witness,
-        ) from exc
-    dominates(problem_u.drift, problem_v.drift, t_range=t_range, x_range=x_range)
+    validate_hypothesis(problem_u.noise_coef, problem_u.dom, True)
+    dominates(problem_u.drift, problem_v.drift, problem_u.dom)
     problem_u.validate()
     problem_v.validate()
 
@@ -509,6 +498,7 @@ def run_consistency(
         raise ParameterError(
             "need small_cutoff_eps < K_small < K_large <= big_cutoff_K"
         )
+    problem.validate()
 
     def one_path(i: int):
         seed_i = seed if n_paths == 1 else path_seed(seed, i)

@@ -29,7 +29,7 @@ consequences of causality are exploited deliberately:
 once, before it steps in time, and integrates the resulting finite
 jump-driven stiff system exactly between events with an exponential
 step, applying jumps at their exact times.  It and ``weak_form_residual``
-read the mild solver's quadrature nodes from the same per-grid constants.
+take the quadrature nodes alone, from ``GridSpec.quad_nodes``.
 Both solvers and the weak-form residual put a jump at time tau in the
 step j with s_j < tau <= s_(j+1) of ``GridSpec.times`` (step 0 for
 tau = 0): ``GridSpec.step_of`` is that one rule.
@@ -104,6 +104,11 @@ class GridSpec:
     def nodes(self, length_L: float) -> np.ndarray:
         return np.linspace(0.0, length_L, self.n_x + 1)
 
+    def quad_nodes(self, length_L: float) -> tuple[np.ndarray, float]:
+        """The 4*n_x composite midpoints on [0, L] and their weight: the
+        quadrature nodes of both solvers and the weak-form residual."""
+        return KernelEvaluator(length_L=length_L).quad_nodes(4 * self.n_x)
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -118,11 +123,8 @@ class ProblemSpec:
 
     def validate(self, require_monotone: bool = False) -> None:
         """Audit the coefficient hypotheses and the initial condition."""
-        t_range, x_range = (0.0, self.dom.horizon_T), (0.0, self.dom.length_L)
-        validate_hypothesis(self.drift, t_range=t_range, x_range=x_range)
-        validate_hypothesis(
-            self.noise_coef, require_monotone, t_range=t_range, x_range=x_range
-        )
+        validate_hypothesis(self.drift, self.dom)
+        validate_hypothesis(self.noise_coef, self.dom, require_monotone)
         self.init.validate_dirichlet(self.dom.length_L)
 
     def with_truncation(self, trunc: TruncationSpec) -> "ProblemSpec":
@@ -251,13 +253,12 @@ class _Grid(NamedTuple):
 
 @functools.lru_cache(maxsize=16)
 def _grid_constants(length_L: float, horizon_T: float, grid: GridSpec) -> _Grid:
-    """Build a grid's constants once; every solve on the grid shares them
-    (Galerkin solves and weak-form residuals read its quadrature nodes),
-    so their arrays are made read-only."""
+    """Build a grid's constants once; every mild solve on the grid shares
+    them, so their arrays are made read-only."""
     ke = KernelEvaluator(length_L=length_L)
     dt = grid.dt(horizon_T)
     x_out = grid.nodes(length_L)
-    y_q, w_q = ke.quad_nodes(4 * grid.n_x)
+    y_q, w_q = grid.quad_nodes(length_L)
     x_all = np.concatenate([x_out, y_q])
     basis, proj, rates = _sine_factors(ke, x_all, y_q, w_q, dt)
     step = np.exp(-dt * rates)
@@ -491,8 +492,8 @@ def solve_galerkin(
     T, L = problem.dom.horizon_T, problem.dom.length_L
     n_t = grid.n_t
     dt = grid.dt(T)
-    g = _grid_constants(L, T, grid)
-    y_q, w_q, n_q = g.y_q, g.w_q, g.y_q.size
+    y_q, w_q = grid.quad_nodes(L)
+    n_q = y_q.size
     if m > n_q // 4:
         raise ParameterError(
             f"m={m} too large for quadrature resolution n_quad={n_q}"
@@ -646,7 +647,7 @@ def weak_form_residual(
         rhs += phi_val * float(np.interp(xj, nodes, chi_v)) * zj
 
     if problem.trunc.gaussian_correction:
-        y_q = _grid_constants(L, T, grid).y_q
+        y_q, _ = grid.quad_nodes(L)
         chi_q = np.asarray(chi(y_q), float)
         dW = noise.gaussian_increments(grid.n_t, y_q.size)
         for i in range(idx):

@@ -17,6 +17,9 @@ from stableheat.coefficients import (
     zero,
 )
 from stableheat.errors import HypothesisError, ParameterError
+from stableheat.noise import SpaceTimeDomain
+
+UNIT = SpaceTimeDomain(1.0, 1.0)
 
 
 class TestEvaluate:
@@ -57,12 +60,12 @@ class TestEvaluate:
 
 class TestValidateHypothesis:
     def test_zero_passes_with_monotone(self):
-        report = validate_hypothesis(zero(), require_monotone=True)
+        report = validate_hypothesis(zero(), UNIT, require_monotone=True)
         assert report.passed and report.n_samples >= 10_000
 
     def test_decreasing_affine_fails_monotone(self):
         with pytest.raises(HypothesisError) as err:
-            validate_hypothesis(affine(1.0, -0.5), require_monotone=True)
+            validate_hypothesis(affine(1.0, -0.5), UNIT, require_monotone=True)
         assert "monotone" in str(err.value) or "non-decreasing" in str(err.value)
 
     def test_understated_lipschitz_bound_fails(self):
@@ -71,7 +74,7 @@ class TestValidateHypothesis:
 
         lying = replace(sine_modulated(2.0, 1, 1.0, 1.0), lipschitz_bound=0.5)
         with pytest.raises(HypothesisError) as err:
-            validate_hypothesis(lying)
+            validate_hypothesis(lying, UNIT)
         assert err.value.witness is not None
 
     def test_understated_growth_bound_fails(self):
@@ -79,7 +82,7 @@ class TestValidateHypothesis:
 
         lying = replace(constant(5.0), growth_bound=1.0)
         with pytest.raises(HypothesisError):
-            validate_hypothesis(lying)
+            validate_hypothesis(lying, UNIT)
 
     def test_families_pass_their_declared_bounds(self):
         for spec in (
@@ -90,21 +93,32 @@ class TestValidateHypothesis:
             sine_modulated(1.5, 3, -0.25, 2.0),
             shifted(clipped_linear(1.0, 1.0), 0.3),
         ):
-            assert validate_hypothesis(spec).passed
+            assert validate_hypothesis(spec, UNIT).passed
+
+    def test_monotone_audit_runs_on_the_given_domain(self):
+        # sin(pi x) * (1 + u) is non-decreasing in u for x in [0, 1] only
+        spec = sine_modulated(1.0, 1, 1.0, 1.0)
+        assert validate_hypothesis(spec, UNIT, require_monotone=True).passed
+        with pytest.raises(HypothesisError) as err:
+            validate_hypothesis(spec, SpaceTimeDomain(1.0, 2.0), require_monotone=True)
+        t, x, lo, hi = err.value.witness
+        assert 1.0 < x <= 2.0 and lo < hi
+        assert spec.evaluate(t, x, lo) > spec.evaluate(t, x, hi)
+        assert "non-decreasing" in str(err.value)
 
 
 class TestDominates:
     def test_equal_specs_pass(self):
         g = affine(0.0, 0.3)
-        assert dominates(g, g).passed
+        assert dominates(g, g, UNIT).passed
 
     def test_negative_shift_passes(self):
         g = affine(0.0, 0.3)
-        assert dominates(shifted(g, -0.5), g).passed
+        assert dominates(shifted(g, -0.5), g, UNIT).passed
 
     def test_counterexample_found(self):
         with pytest.raises(HypothesisError) as err:
-            dominates(affine(0.0, 1.0), affine(0.0, 0.5))
+            dominates(affine(0.0, 1.0), affine(0.0, 0.5), UNIT)
         assert err.value.witness is not None
 
 

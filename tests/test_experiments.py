@@ -116,6 +116,16 @@ class TestComparison:
             run_comparison(pu, pu, GridSpec(16, 8), 2, 5)
         assert "non-decreasing" in str(err.value)
 
+    def test_understated_noise_lipschitz_bound_named(self):
+        # a monotone noise coefficient whose declared Lipschitz bound is too
+        # small fails the Lipschitz audit, not the monotonicity one
+        lying = replace(PHI, lipschitz_bound=0.1)
+        pu = problem(params=POS, noise_coef=lying)
+        with pytest.raises(HypothesisError) as err:
+            run_comparison(pu, pu, GridSpec(16, 8), 2, 5)
+        assert str(err.value).startswith("Lipschitz bound 0.1 violated")
+        assert "non-decreasing" not in str(err.value)
+
     def test_drift_order_checked_on_whole_domain(self):
         # f = -sin(pi x) is <= 0 on [0, 1] but equals 1 at x = 1.5 in [0, 2]
         dom = SpaceTimeDomain(1.0, 2.0)
@@ -185,6 +195,13 @@ class TestConsistency:
         with pytest.raises(HypothesisError) as err:
             run_consistency(p, 17, 0.5, 1.0, GridSpec(16, 8))
         assert "compensator" in str(err.value)
+
+    def test_coefficients_audited(self):
+        lying = replace(PHI, lipschitz_bound=0.1)
+        p = problem(noise_coef=lying, trunc=TruncationSpec(1.0, 0.02))
+        with pytest.raises(HypothesisError) as err:
+            run_consistency(p, 17, 0.5, 1.0, GridSpec(16, 8))
+        assert "Lipschitz bound 0.1 violated" in str(err.value)
 
     def test_bad_cutoffs_rejected(self):
         p = problem()

@@ -25,6 +25,7 @@ from stableheat.coefficients import (
     validate_hypothesis,
 )
 from stableheat.errors import HypothesisError
+from stableheat.noise import SpaceTimeDomain
 
 # Zero is drawn often: it selects the families that vanish at zero state
 # and the degenerate slopes.
@@ -141,7 +142,7 @@ def test_vanishing_at_zero_state_holds_pointwise(family, data, length_L):
 def test_declared_bounds_pass_the_audit(family, data, length_L):
     spec = draw_family(data, COEFFICIENT_FAMILIES, family, length_L)
     report = validate_hypothesis(
-        spec, spec.monotone_in_u, n_samples=2000, x_range=(0.0, length_L)
+        spec, SpaceTimeDomain(1.0, length_L), spec.monotone_in_u, n_samples=2000
     )
     assert report.passed
 
@@ -151,10 +152,10 @@ def test_declared_bounds_pass_the_audit(family, data, length_L):
 @given(data=st.data(), length_L=LENGTHS, d=st.floats(1e-6, 10.0))
 def test_ordering_gate_sees_a_constant_shift(family, data, length_L, d):
     g = draw_family(data, COEFFICIENT_FAMILIES, family, length_L)
-    x_range = (0.0, length_L)
-    assert dominates(shifted(g, -d), g, x_range=x_range).passed
+    dom = SpaceTimeDomain(1.0, length_L)
+    assert dominates(shifted(g, -d), g, dom).passed
     with pytest.raises(HypothesisError) as err:
-        dominates(shifted(g, d), g, x_range=x_range)
+        dominates(shifted(g, d), g, dom)
     assert 0.0 <= err.value.witness[1] <= length_L
 
 
@@ -177,6 +178,7 @@ ORDERED_PAIR_SIDE = st.one_of(
 )
 def test_ordering_gate_matches_dense_evaluation(f, g, horizon_T, length_L):
     t_range, x_range = (0.0, horizon_T), (0.0, length_L)
+    dom = SpaceTimeDomain(horizon_T, length_L)
     u = np.union1d(
         np.linspace(*_AUDIT_U_RANGE, 401),
         np.concatenate([_u_extremes(f), _u_extremes(g)]),
@@ -192,12 +194,12 @@ def test_ordering_gate_matches_dense_evaluation(f, g, horizon_T, length_L):
     assume(not violated.any() or violated.mean() >= 0.01)
     if violated.any():
         with pytest.raises(HypothesisError) as err:
-            dominates(f, g, t_range=t_range, x_range=x_range)
+            dominates(f, g, dom)
         t_w, x_w, u_w = err.value.witness
         assert 0.0 <= t_w <= horizon_T and 0.0 <= x_w <= length_L
         assert f.evaluate(t_w, x_w, u_w) > g.evaluate(t_w, x_w, u_w)
     else:
-        assert dominates(f, g, t_range=t_range, x_range=x_range).passed
+        assert dominates(f, g, dom).passed
 
 
 def test_ordering_gate_samples_the_kinks_of_a_shifted_base():
@@ -207,7 +209,7 @@ def test_ordering_gate_samples_the_kinks_of_a_shifted_base():
     f, g = clipped_linear(1.0, 1e-4), clipped_linear(0.5, 1e-4)
     for pair in ((f, g), (shifted(f, 0.0), shifted(g, 0.0))):
         with pytest.raises(HypothesisError):
-            dominates(*pair)
+            dominates(*pair, SpaceTimeDomain(1.0, 1.0))
 
 
 def same_bits(got, want) -> bool:

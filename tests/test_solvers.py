@@ -272,6 +272,70 @@ class TestMildDeterministicOracles:
         )
 
 
+def affine_jump_solution(b, noise, grid, modes=400):
+    """Exact values at the grid of u for drift b*u, noise coefficient 1 and
+    u_0 = sin(pi x / L):
+
+        u(t) = e^(bt) G_t u_0 - mu int_0^t e^(b(t-s)) G_(t-s) 1 ds
+               + sum_(tau_l < t) z_l e^(b(t-tau_l)) G_(t-tau_l)(., x_l).
+
+    The first two terms and the jump lags of one step or more are summed in
+    ``modes`` sine modes (the tail is below e^-3000 at dt >= 1/256); the
+    shorter jump lags are read from ``KernelEvaluator.eval``."""
+    T, L = noise.domain.horizon_T, noise.domain.length_L
+    times, nodes = grid.times(T), grid.nodes(L)
+    n = np.arange(1, modes + 1)
+    rate = b - (n * math.pi / L) ** 2 / 2.0
+
+    def sine(x):
+        return math.sqrt(2.0 / L) * np.sin(np.multiply.outer(x, n) * math.pi / L)
+
+    heat = np.exp(rate[0] * times)[:, None] * np.sin(math.pi * nodes / L)
+    one = math.sqrt(2.0 / L) * L * (1.0 - np.cos(n * math.pi)) / (n * math.pi)
+    coef = -noise.compensator_mu * np.expm1(rate * times[:, None]) / rate * one
+    lag = times[:, None] - noise.taus
+    far = lag >= grid.dt(T)
+    for l, (z, e_l) in enumerate(zip(noise.zs, sine(noise.xs))):
+        rows = far[:, l]
+        coef[rows] += z * np.exp(np.multiply.outer(lag[rows, l], rate)) * e_l
+    u = heat + coef @ sine(nodes).T
+    ke = KernelEvaluator(length_L=L)
+    for j, l in zip(*np.nonzero((lag > 0.0) & ~far)):
+        u[j] += noise.zs[l] * math.exp(b * lag[j, l]) * ke.eval(lag[j, l], nodes, noise.xs[l])
+    return u
+
+
+class TestMildAffineJumpOracle:
+    """Pathwise exact solutions with jumps: drift b*u, noise coefficient 1."""
+
+    @staticmethod
+    def sup_errors(b, params, grid, seeds):
+        prob = make_problem(
+            drift=affine(0.0, b), noise_coef=constant(1.0), params=params
+        )
+        errors = []
+        for seed in seeds:
+            noise = sample_noise(params, TRUNC, DOM, seed)
+            u = solve_mild(prob, noise, grid).values
+            errors.append(np.max(np.abs(u - affine_jump_solution(b, noise, grid))))
+        return max(errors)
+
+    def test_compensated_one_sided_law_converges_at_first_order(self):
+        # the left-endpoint drift quadrature misses about 0.54 * mu * dt
+        mu = compensator_drift(ASYM, TRUNC)
+        errors = []
+        for n_t in (64, 128, 256):
+            grid = GridSpec(n_t, n_t // 2)
+            errors.append(self.sup_errors(0.3, ASYM, grid, (0, 1)))
+            assert errors[-1] <= mu * grid.dt(1.0)
+        assert errors[0] / errors[1] >= 1.8 and errors[1] / errors[2] >= 1.8
+
+    def test_symmetric_law_without_drift_is_exact(self):
+        # no compensator and no drift: only the jump columns remain, and
+        # the solver sums them exactly
+        assert self.sup_errors(0.0, SYM, GridSpec(64, 32), range(4)) <= 1e-12
+
+
 class TestSineFactors:
     """The sine propagator of the mild solver's grid lags against the
     kernel it stands in for."""
