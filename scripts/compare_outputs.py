@@ -9,10 +9,11 @@ once per checkout.  The configs are the after checkout's
 ``configs/*.json`` and ``perfbench/workloads/*.json`` (only read) and any
 ``--config``; both sides run the same file.  Every output file except the
 wall-time sidecars ``*_timing.json`` is compared byte for byte.  Each file
-that differs, or exists on one side only, is printed, with the largest
-difference between its numbers when it is a JSON or CSV file of the same
-layout on both sides; so is each command whose exit code differs.  Exit 0
-when everything is identical, 1 otherwise.
+that differs, or exists on one side only, is printed; so is each command
+whose exit code differs.  A differing JSON or CSV file is printed with the
+largest difference between its numbers, or else with the place where the
+two layouts part or the place and both values of the first differing
+non-number.  Exit 0 when everything is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -61,19 +62,21 @@ def _load(path: Path):
     return [[_cell(c) for c in line.split(",")] for line in text.splitlines()]
 
 
-def _pairs(a, b):
-    """The number pairs at matching places of two parsed files; ValueError
-    where their layouts, or any non-numbers, differ."""
+def _pairs(a, b, where=""):
+    """The number pairs at matching places of two parsed files; ValueError,
+    naming the place, where their layouts or any non-numbers differ."""
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         for key in a:
-            yield from _pairs(a[key], b[key])
+            yield from _pairs(a[key], b[key], f"{where}.{key}" if where else str(key))
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        for x, y in zip(a, b):
-            yield from _pairs(x, y)
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _pairs(x, y, f"{where}[{i}]")
     elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
         yield a, b
+    elif isinstance(a, (dict, list)) or isinstance(b, (dict, list)):
+        raise ValueError(f"layouts differ at {where or 'the root'}")
     elif a != b:
-        raise ValueError("layouts differ")
+        raise ValueError(f"{where}: {a!r} -> {b!r}")
 
 
 def largest_difference(before: Path, after: Path) -> str:
@@ -81,8 +84,8 @@ def largest_difference(before: Path, after: Path) -> str:
         return ""
     try:
         pairs = list(_pairs(_load(before), _load(after)))
-    except ValueError:
-        return " (layouts differ)"
+    except ValueError as exc:
+        return f" ({exc})"
     return f" (largest numeric difference {max((abs(x - y) for x, y in pairs), default=0.0):.3e})"
 
 

@@ -237,7 +237,7 @@ class RunConfig:
     problem: ProblemSpec
     grid: GridSpec
     solver_method: str
-    solver_window_steps: int | None  # ignored; held for perfbench (ROADMAP item 2)
+    solver_window_steps: int | None  # ignored; held for perfbench (ROADMAP item 1)
     solver_modes: int
     experiments: dict  # name -> keyword arguments of run_<name>, in EXPERIMENT_ORDER
     output_dir: str

@@ -14,13 +14,15 @@ Seed rule: path i uses the first 64-bit word generated by
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
 import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -176,18 +178,48 @@ class ExperimentReport:
             fh.write("\n")
 
 
-def _report(name: str, t_start: float, seed: int, inputs: dict, **fields):
-    """Report of experiment ``name`` begun at ``t_start``; its inputs hash
-    covers ``inputs`` plus the experiment name and the master seed."""
-    hashed = {"experiment": name, "seed": seed, **inputs}
-    blob = json.dumps(hashed, sort_keys=True, default=str).encode()
-    return ExperimentReport(
-        name=name,
-        master_seed=seed,
-        inputs_hash=hashlib.sha256(blob).hexdigest()[:16],
-        runtime_seconds=time.perf_counter() - t_start,
-        **fields,
-    )
+def _hashed(value):
+    """``value`` as it enters an inputs hash (see ``_experiment``)."""
+    if isinstance(value, ProblemSpec):
+        return value.canonical()
+    if isinstance(value, GridSpec):
+        return (value.n_t, value.n_x)
+    if is_dataclass(value):
+        return asdict(value)
+    return value
+
+
+def _experiment(run):
+    """Make ``run_<name>`` return a timed report named ``<name>``.
+
+    The body returns the report's other fields.  The inputs hash covers
+    the experiment name and every argument of the call but ``threads``,
+    defaults applied: ``None`` is left out, a ``ProblemSpec`` enters by
+    ``canonical()``, a ``GridSpec`` as ``(n_t, n_x)`` and any other
+    dataclass by its fields.
+    """
+    name = run.__name__.removeprefix("run_")
+    signature = inspect.signature(run)
+
+    @functools.wraps(run)
+    def timed(*args, **kwargs):
+        t_start = time.perf_counter()
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        inputs = {
+            k: _hashed(v) for k, v in call.arguments.items() if v is not None and k != "threads"
+        }
+        blob = json.dumps({"experiment": name, **inputs}, sort_keys=True, default=str).encode()
+        fields = run(*call.args, **call.kwargs)
+        return ExperimentReport(
+            name=name,
+            master_seed=call.arguments["seed"],
+            inputs_hash=hashlib.sha256(blob).hexdigest()[:16],
+            runtime_seconds=time.perf_counter() - t_start,
+            **fields,
+        )
+
+    return timed
 
 
 def positive_part_energy(w, dx: float):
@@ -216,7 +248,7 @@ def _empty_realization(params, dom, big_cutoff) -> NoiseRealization:
     )
 
 
-# window_steps is accepted and ignored: perfbench/rep.py passes it (ROADMAP item 2).
+# window_steps is accepted and ignored: perfbench/rep.py passes it (ROADMAP item 1).
 def calibrate_grid_error(problem: ProblemSpec, grid: GridSpec, *, window_steps=None) -> float:
     """Observed sup-error of a deterministic analytically-solvable case.
 
@@ -248,6 +280,7 @@ def calibrate_grid_error(problem: ProblemSpec, grid: GridSpec, *, window_steps=N
 # -- experiments ----------------------------------------------------------
 
 
+@_experiment
 def run_stopping_law(
     params: StableParams,
     K: float,
@@ -267,7 +300,6 @@ def run_stopping_law(
     """
     if K <= 0.0:
         raise ParameterError("K must be positive")
-    t_start = time.perf_counter()
     trunc = TruncationSpec(big_cutoff_K=K * observe_factor, small_cutoff_eps=K)
     target = survival_probability(params, K, dom)
 
@@ -280,19 +312,7 @@ def run_stopping_law(
     sigma = math.sqrt(max(est * (1.0 - est), target * (1.0 - target)) / n_paths)
     ci = (est - 3.0 * sigma, est + 3.0 * sigma)
     passed = ci[0] <= target <= ci[1]
-    return _report(
-        "stopping_law",
-        t_start,
-        seed,
-        {
-            "alpha": params.alpha,
-            "c_plus": params.c_plus,
-            "K": K,
-            "T": dom.horizon_T,
-            "L": dom.length_L,
-            "n_paths": n_paths,
-            "observe_factor": observe_factor,
-        },
+    return dict(
         n_paths=n_paths,
         estimates={"survival_frequency": est, "sigma": sigma},
         confidence_interval=ci,
@@ -303,6 +323,7 @@ def run_stopping_law(
     )
 
 
+@_experiment
 def run_comparison(
     problem_u: ProblemSpec,
     problem_v: ProblemSpec,
@@ -324,7 +345,6 @@ def run_comparison(
     tolerance, and the positive-part energy must stay below tol^2 * L
     at every grid time.
     """
-    t_start = time.perf_counter()
     if (
         problem_u.params != problem_v.params
         or problem_u.trunc != problem_v.trunc
@@ -336,12 +356,13 @@ def run_comparison(
         )
     if problem_u.noise_coef != problem_v.noise_coef:
         raise ParameterError("comparison requires a shared noise coefficient")
-    validate_hypothesis(problem_u.noise_coef, problem_u.dom, True)
-    dominates(problem_u.drift, problem_v.drift, problem_u.dom)
-    problem_u.validate()
-    problem_v.validate()
-
+    # the shared noise coefficient is audited once, with problem_u
+    problem_u.validate(require_monotone=True)
+    validate_hypothesis(problem_v.drift, problem_v.dom)
     L = problem_u.dom.length_L
+    problem_v.init.validate_dirichlet(L)
+    dominates(problem_u.drift, problem_v.drift, problem_u.dom)
+
     xs_dense = np.linspace(0.0, L, 4 * grid.n_x + 1)
     du0 = problem_u.init.values(xs_dense) - problem_v.init.values(xs_dense)
     if np.any(du0 > 1e-12):
@@ -350,7 +371,6 @@ def run_comparison(
             f"u0 <= v0 (max excess {float(du0.max()):.3e})"
         )
 
-    given = {} if tol is None else {"tol": tol}  # a calibrated tol follows from the inputs
     if tol is None:
         tol = 10.0 * calibrate_grid_error(problem_u, grid)
     dx = grid.dx(L)
@@ -373,17 +393,7 @@ def run_comparison(
     max_viol = float(np.max(violations))
     max_energy = float(np.max(energies))
     passed = max_viol <= tol and max_energy <= energy_cap
-    return _report(
-        "comparison",
-        t_start,
-        seed,
-        {
-            "problem_u": problem_u.canonical(),
-            "problem_v": problem_v.canonical(),
-            "grid": (grid.n_t, grid.n_x),
-            "n_paths": n_paths,
-            **given,
-        },
+    return dict(
         n_paths=n_paths,
         estimates={
             "max_violation": max_viol,
@@ -399,6 +409,7 @@ def run_comparison(
     )
 
 
+@_experiment
 def run_nonnegativity(
     problem: ProblemSpec,
     grid: GridSpec,
@@ -414,7 +425,6 @@ def run_nonnegativity(
     coefficients must vanish at zero state by family structure, not
     just numerically.
     """
-    t_start = time.perf_counter()
     if not problem.init.is_nonnegative(problem.dom.length_L):
         raise HypothesisError(
             "non-negativity hypothesis violated: initial data has a negative dip"
@@ -426,7 +436,6 @@ def run_nonnegativity(
                 "not vanish at zero state"
             )
     problem.validate()
-    given = {} if tol is None else {"tol": tol}  # a calibrated tol follows from the inputs
     if tol is None:
         tol = 10.0 * calibrate_grid_error(problem, grid)
 
@@ -448,11 +457,7 @@ def run_nonnegativity(
     if zero_case:
         details["zero_case_exact"] = all(r[1] for r in results)
         passed = passed and details["zero_case_exact"]
-    return _report(
-        "nonnegativity",
-        t_start,
-        seed,
-        {"problem": problem.canonical(), "grid": (grid.n_t, grid.n_x), "n_paths": n_paths, **given},
+    return dict(
         n_paths=n_paths,
         estimates={"min_over_paths": min_all, "tolerance": tol},
         confidence_interval=None,
@@ -463,6 +468,7 @@ def run_nonnegativity(
     )
 
 
+@_experiment
 def run_consistency(
     problem: ProblemSpec,
     seed: int,
@@ -485,7 +491,6 @@ def run_consistency(
     from error.  A single path uses ``seed`` itself as its noise seed;
     with ``n_paths`` > 1, path i uses ``path_seed(seed, i)``.
     """
-    t_start = time.perf_counter()
     if not problem.params.is_symmetric:
         raise HypothesisError(
             "consistency coupling requires symmetric tail weights: with "
@@ -520,17 +525,7 @@ def run_consistency(
     vacuous_count = sum(1 for r in results if r[1])
     max_rel = float(np.max(rels))
     passed = max_rel <= CONSISTENCY_REL_TOL
-    return _report(
-        "consistency",
-        t_start,
-        seed,
-        {
-            "problem": problem.canonical(),
-            "K_small": K_small,
-            "K_large": K_large,
-            "grid": (grid.n_t, grid.n_x),
-            "n_paths": n_paths,
-        },
+    return dict(
         n_paths=n_paths,
         estimates={
             "max_relative_sup_difference": max_rel,
@@ -547,6 +542,7 @@ def run_consistency(
     )
 
 
+@_experiment
 def run_galerkin_convergence(
     problem: ProblemSpec,
     seed: int,
@@ -563,7 +559,6 @@ def run_galerkin_convergence(
     non-increasing up to 5% slack and the last error is below half the
     first.
     """
-    t_start = time.perf_counter()
     m_list = [int(m) for m in m_list]
     if len(m_list) < 2 or any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ParameterError(
@@ -592,11 +587,7 @@ def run_galerkin_convergence(
     )
     halved = errors[-1] < 0.5 * errors[0]
     passed = non_increasing and halved
-    return _report(
-        "galerkin_convergence",
-        t_start,
-        seed,
-        {"problem": problem.canonical(), "m_list": m_list, "grid": (grid.n_t, grid.n_x)},
+    return dict(
         n_paths=1,
         estimates={f"E_m{m}": float(e) for m, e in zip(m_list, errors)},
         confidence_interval=None,
@@ -607,6 +598,7 @@ def run_galerkin_convergence(
     )
 
 
+@_experiment
 def run_moment_estimate(
     problem: ProblemSpec,
     grid: GridSpec,
@@ -623,7 +615,6 @@ def run_moment_estimate(
     the estimate is finite and the doubling ratio stays within
     [0.8, 1.25].
     """
-    t_start = time.perf_counter()
     if not problem.params.alpha < p <= 2.0:
         raise ParameterError(
             f"p must lie in (alpha, 2] = ({problem.params.alpha}, 2], got {p}"
@@ -647,16 +638,7 @@ def run_moment_estimate(
     se = float(norms[:, idx_peak].std(ddof=1) / math.sqrt(2 * n_paths))
     ratio = est_full / est_half if est_half > 0.0 else 1.0
     passed = math.isfinite(est_full) and 0.8 <= ratio <= 1.25
-    return _report(
-        "moment_estimate",
-        t_start,
-        seed,
-        {
-            "problem": problem.canonical(),
-            "grid": (grid.n_t, grid.n_x),
-            "n_paths": n_paths,
-            "p": p,
-        },
+    return dict(
         n_paths=2 * n_paths,
         estimates={
             "sup_moment": est_full,

@@ -148,7 +148,7 @@ class GridSolution:
     values: np.ndarray  # shape (n_t + 1, n_x + 1)
     problem: ProblemSpec
     grid: GridSpec
-    # [1] per mild solve, which never iterates; held for perfbench (ROADMAP item 2).
+    # [1] per mild solve, which never iterates; held for perfbench (ROADMAP item 1).
     picard_iterations: list = field(default_factory=list)
     solver_tag: str = "mild"
 

@@ -63,3 +63,23 @@ def test_a_tampered_output_is_named_with_its_largest_difference(checkout, monkey
         "config.json verify: reports/stopping_law.json differs "
         "(largest numeric difference 3.000e+00)"
     ]
+
+
+
+@pytest.mark.parametrize(
+    "suffix, before, after, shown",
+    [
+        (".json", '{"inputs_hash": "0000", "n": 1}', '{"inputs_hash": "ffff", "n": 2}',
+         "inputs_hash: '0000' -> 'ffff'"),
+        (".json", '{"a": 1, "b": {"c": [1, "x"]}}', '{"a": 2, "b": {"c": [1, "y"]}}',
+         "b.c[1]: 'x' -> 'y'"),
+        (".json", '{"a": [1, 2]}', '{"a": [1, 2, 3]}', "layouts differ at a"),
+        (".json", '{"a": 1}', '{"b": 1}', "layouts differ at the root"),
+        (".csv", "i,v\n0,1.0\n", "i,w\n0,1.0\n", "[0][1]: 'v' -> 'w'"),
+    ],
+)
+def test_the_first_differing_non_number_is_placed(tmp_path, suffix, before, after, shown):
+    paths = tmp_path / f"before{suffix}", tmp_path / f"after{suffix}"
+    for path, text in zip(paths, (before, after)):
+        path.write_text(text)
+    assert compare_outputs.largest_difference(*paths) == f" ({shown})"

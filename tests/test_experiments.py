@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stableheat import experiments, solvers
 from stableheat.cli import RunConfig
 from stableheat.coefficients import (
     affine,
@@ -37,6 +39,7 @@ POS = StableParams(1.5, 1.0, 0.0)
 DOM = SpaceTimeDomain(1.0, 1.0)
 TRUNC = TruncationSpec(1.0, 0.05)
 PHI = clipped_linear(0.4, 2.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def problem(params=SYM, drift=None, noise_coef=PHI, init=None, trunc=TRUNC):
@@ -157,6 +160,29 @@ class TestComparison:
         with pytest.raises(ParameterError):
             run_comparison(pu, pv, GridSpec(16, 8), 2, 5)
 
+    def test_the_shared_noise_coefficient_is_audited_once(self, monkeypatch):
+        cfg = RunConfig.parse(json.loads((CONFIGS / "comparison_demo.json").read_text()))
+        kwargs = cfg.experiments["comparison"]
+        audits = []
+        for module, name in (
+            (experiments, "validate_hypothesis"),
+            (solvers, "validate_hypothesis"),
+            (experiments, "dominates"),
+        ):
+            def counted(*args, audit=getattr(module, name), name=name, **kw):
+                audits.append((name, args[0]))
+                return audit(*args, **kw)
+
+            monkeypatch.setattr(module, name, counted)
+        assert run_comparison(**kwargs).passed
+        pu, pv = kwargs["problem_u"], kwargs["problem_v"]
+        assert sorted(audits, key=lambda a: (a[0], a[1].family)) == [
+            ("dominates", pu.drift),
+            ("validate_hypothesis", pv.drift),  # affine
+            ("validate_hypothesis", pu.noise_coef),  # clipped_linear
+            ("validate_hypothesis", pu.drift),  # shifted
+        ]
+
 
 class TestNonnegativity:
     def test_zero_case_exact(self):
@@ -252,7 +278,7 @@ class TestGalerkinConvergence:
     )
     def test_desk_verdict_holds_on_every_pool_seed(self):
         # a certified verdict must not pass by choice of seed
-        path = Path(__file__).resolve().parent.parent / "configs" / "desk_verify.json"
+        path = CONFIGS / "desk_verify.json"
         cfg = RunConfig.parse(json.loads(path.read_text()))
         m_list = cfg.experiments["galerkin_convergence"]["m_list"]
         failed = [
@@ -333,6 +359,66 @@ class TestReports:
         args = (p,) if run is run_nonnegativity else (p, p)
         hashes = {run(*args, GridSpec(16, 8), 2, 5, tol).inputs_hash for tol in (None, 1e-9, 0.5)}
         assert len(hashes) == 3
+
+
+def hash_cases(run):
+    """The arguments of ``run`` that have no default, and for every argument
+    but ``seed`` and ``threads`` another value that the run accepts."""
+    coupled = TruncationSpec(1.0, 0.02)
+    return {
+        run_stopping_law: (
+            dict(params=SYM, K=1.0, dom=DOM, n_paths=20, seed=5),
+            dict(params=POS, K=2.0, dom=SpaceTimeDomain(1.0, 2.0), n_paths=21,
+                 observe_factor=100.0),
+        ),
+        run_comparison: (
+            dict(problem_u=problem(), problem_v=problem(), grid=GridSpec(8, 4), n_paths=1,
+                 seed=5),
+            dict(problem_u=problem(init=ic_sine_mode(1, 0.8, 1.0)),
+                 problem_v=problem(drift=shifted(affine(0.0, 0.2), 0.5)),
+                 grid=GridSpec(8, 8), n_paths=2, tol=0.5),
+        ),
+        run_nonnegativity: (
+            dict(problem=problem(init=ic_zero()), grid=GridSpec(8, 4), n_paths=1, seed=5),
+            dict(problem=problem(init=ic_bump(1.0, 0.5, 0.6)), grid=GridSpec(8, 8), n_paths=2,
+                 tol=0.5),
+        ),
+        run_consistency: (
+            dict(problem=problem(trunc=coupled), seed=17, K_small=0.5, K_large=1.0,
+                 grid=GridSpec(8, 4)),
+            dict(problem=problem(drift=affine(0.0, 0.3), trunc=coupled), K_small=0.4,
+                 K_large=0.9, grid=GridSpec(8, 8), n_paths=2),
+        ),
+        run_galerkin_convergence: (
+            dict(problem=problem(), seed=3, m_list=[1, 2], grid=GridSpec(8, 12)),
+            dict(problem=problem(drift=affine(0.0, 0.3)), m_list=[1, 3], grid=GridSpec(16, 12)),
+        ),
+        run_moment_estimate: (
+            dict(problem=problem(), grid=GridSpec(8, 4), n_paths=1, seed=5),
+            dict(problem=problem(drift=affine(0.0, 0.3)), grid=GridSpec(8, 8), n_paths=2, p=1.8),
+        ),
+    }[run]
+
+
+RUNS = [getattr(experiments, name) for name in experiments.__all__ if name.startswith("run_")]
+
+
+class TestInputsHash:
+    @pytest.mark.parametrize("run", RUNS, ids=lambda run: run.__name__)
+    def test_every_argument_but_threads_enters_the_hash(self, run):
+        given, changed = hash_cases(run)
+        parameters = inspect.signature(run).parameters
+        assert set(parameters) - {"threads"} == {*given, *changed}
+        digest = run(**given).inputs_hash
+        # equal arguments, built anew or with every default spelled out
+        defaults = {
+            k: p.default for k, p in parameters.items()
+            if p.default is not p.empty and k not in given
+        }
+        assert run(**hash_cases(run)[0], **defaults).inputs_hash == digest
+        assert run(**given, threads=2).inputs_hash == digest
+        for name, value in {**changed, "seed": given["seed"] + 1}.items():
+            assert run(**{**given, name: value}).inputs_hash != digest, name
 
 
 class TestCalibration:
