@@ -401,7 +401,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     solvers = {
         "mild": lambda: solve_mild(cfg.problem, realization, cfg.grid),
         "galerkin": lambda: spectral_to_grid(
-            solve_galerkin(cfg.problem, realization, cfg.solver_modes, cfg.grid), cfg.grid
+            solve_galerkin(cfg.problem, realization, cfg.solver_modes, cfg.grid)
         ),
     }
     written = {}

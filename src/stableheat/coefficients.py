@@ -198,10 +198,9 @@ class Family(NamedTuple):
 
 
 def _clip_edges(p) -> list:
-    if p["slope"] == 0.0:
-        return []
-    edge = p["cap"] / abs(p["slope"])
-    return [edge, -edge]
+    # a zero or subnormal slope puts the kink at no finite u
+    edge = p["cap"] / abs(p["slope"]) if p["slope"] else math.inf
+    return [edge, -edge] if math.isfinite(edge) else []
 
 
 def _bind_affine(p):

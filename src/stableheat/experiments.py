@@ -235,15 +235,13 @@ def positive_part_energy(w, dx: float):
 
 
 def _empty_realization(params, dom, big_cutoff) -> NoiseRealization:
-    trunc = TruncationSpec(big_cutoff, big_cutoff * (1.0 - 1e-9))
     return NoiseRealization(
         params=params,
-        truncation=trunc,
+        truncation=TruncationSpec(big_cutoff, big_cutoff * (1.0 - 1e-9)),
         domain=dom,
         taus=np.zeros(0),
         xs=np.zeros(0),
         zs=np.zeros(0),
-        compensator_mu=noise_mod.compensator_drift(params, trunc),
         seed=0,
     )
 
@@ -578,7 +576,7 @@ def run_galerkin_convergence(
 
     def worker(idx: int) -> float:
         m = m_list[idx]
-        gal = spectral_to_grid(solve_galerkin(problem, rn, m, grid), grid)
+        gal = spectral_to_grid(solve_galerkin(problem, rn, m, grid))
         return float(grid_h_norm(gal.values - mild.values, dx).max())
 
     errors = _map_paths(worker, len(m_list), threads, "galerkin_convergence m_list entry")

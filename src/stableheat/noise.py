@@ -27,8 +27,8 @@ across threads; parallelism is across seeds, never within a draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields, replace
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class StableParams:
 
     def __post_init__(self):
         if not 1.0 < self.alpha < 2.0:
-            raise ParameterError(f"alpha must lie in (1, 2), got {self.alpha}")
+            raise ParameterError(f"stability index must lie in (1, 2), got {self.alpha}")
         if self.c_plus < 0.0 or self.c_minus < 0.0:
             raise ParameterError("tail weights must be non-negative")
         if abs(self.c_plus + self.c_minus - 1.0) > 1e-12:
@@ -99,8 +99,7 @@ class TruncationSpec:
     def __post_init__(self):
         if not 0.0 < self.small_cutoff_eps < self.big_cutoff_K:
             raise ParameterError(
-                "need 0 < small_cutoff_eps < big_cutoff_K, got "
-                f"eps={self.small_cutoff_eps}, K={self.big_cutoff_K}"
+                f"need 0 < eps < K, got eps={self.small_cutoff_eps}, K={self.big_cutoff_K}"
             )
 
     def small_jump_variance_density(self, params: StableParams) -> float:
@@ -118,7 +117,7 @@ class SpaceTimeDomain:
 
     def __post_init__(self):
         if self.horizon_T <= 0.0 or self.length_L <= 0.0:
-            raise ParameterError("horizon_T and length_L must be positive")
+            raise ParameterError("time horizon and spatial length must be positive")
 
 
 def expected_jump_count(
@@ -154,7 +153,7 @@ def levy_moment(params: StableParams, K: float, p: float) -> float:
         raise ParameterError(f"cutoff must be positive, got {K}")
     if p <= params.alpha:
         raise DivergenceError(
-            f"moment integral diverges for p={p} <= alpha={params.alpha}"
+            f"moment integral diverges for p={p} <= stability index {params.alpha}"
         )
     return K ** (p - params.alpha) / (p - params.alpha)
 
@@ -166,10 +165,9 @@ class NoiseRealization:
     ``taus``, ``xs``, ``zs`` are parallel arrays sorted by jump time
     (ties keep generation order), with every point in [0,T] x [0,L] and
     every magnitude in (eps, K]; construction refuses anything else,
-    because the solvers assign jumps to time steps by that order.
-    ``compensator_mu`` is the closed-form drift density for the
-    realization's parameters, stored so that integration never
-    recomputes it inconsistently.
+    because the solvers assign jumps to time steps by that order.  A
+    realization is its law (``params``, ``truncation``, ``domain``) plus
+    its draw; the compensator drift is a function of the law alone.
     """
 
     params: StableParams
@@ -178,7 +176,6 @@ class NoiseRealization:
     taus: np.ndarray
     xs: np.ndarray
     zs: np.ndarray
-    compensator_mu: float
     seed: int
 
     def __post_init__(self):
@@ -199,6 +196,11 @@ class NoiseRealization:
                 raise ParameterError("jump magnitudes must lie in (eps, K]")
         for arr in (self.taus, self.xs, self.zs):
             arr.setflags(write=False)
+
+    @property
+    def compensator_mu(self) -> float:
+        """Drift density of the law, :func:`compensator_drift`."""
+        return compensator_drift(self.params, self.truncation)
 
     @property
     def jump_count(self) -> int:
@@ -228,23 +230,14 @@ class NoiseRealization:
     # -- serialization ------------------------------------------------
 
     def save_text(self, path) -> None:
-        """Write the documented columnar text format (17 significant digits)."""
+        """Write the documented columnar text format (17 significant digits):
+        one header line per law dataclass, then seed, drift and jump count."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("# stableheat-noise v1\n")
-            fh.write(
-                f"# alpha={self.params.alpha:.17g} "
-                f"c_plus={self.params.c_plus:.17g} "
-                f"c_minus={self.params.c_minus:.17g}\n"
-            )
-            fh.write(
-                f"# big_cutoff_K={self.truncation.big_cutoff_K:.17g} "
-                f"small_cutoff_eps={self.truncation.small_cutoff_eps:.17g} "
-                f"gaussian_correction={int(self.truncation.gaussian_correction)}\n"
-            )
-            fh.write(
-                f"# horizon_T={self.domain.horizon_T:.17g} "
-                f"length_L={self.domain.length_L:.17g}\n"
-            )
+            for law in (self.params, self.truncation, self.domain):
+                # .17g prints a bool as 1 or 0
+                line = " ".join(f"{f.name}={getattr(law, f.name):.17g}" for f in fields(law))
+                fh.write(f"# {line}\n")
             fh.write(f"# seed={self.seed}\n")
             fh.write(f"# compensator_mu={self.compensator_mu:.17g}\n")
             fh.write(f"# n_jumps={self.jump_count}\n")
@@ -254,7 +247,8 @@ class NoiseRealization:
 
     @staticmethod
     def load_text(path) -> "NoiseRealization":
-        """Parse a file written by :meth:`save_text`."""
+        """Parse a file written by :meth:`save_text`, refusing a header whose
+        compensator drift or jump count disagrees with its law or its rows."""
         header: dict[str, str] = {}
         rows = []
         with open(path, "r", encoding="utf-8") as fh:
@@ -270,26 +264,32 @@ class NoiseRealization:
                             header[k] = v
                 elif line and line != "tau,x,z":
                     rows.append([float(v) for v in line.split(",")])
-        params = StableParams(
-            float(header["alpha"]), float(header["c_plus"]), float(header["c_minus"])
-        )
-        trunc = TruncationSpec(
-            float(header["big_cutoff_K"]),
-            float(header["small_cutoff_eps"]),
-            bool(int(header["gaussian_correction"])),
-        )
-        dom = SpaceTimeDomain(float(header["horizon_T"]), float(header["length_L"]))
+
+        def law(cls):
+            # every value reads as a number, a bool as 0 or 1
+            kinds = get_type_hints(cls)
+            return cls(**{f.name: kinds[f.name](float(header[f.name])) for f in fields(cls)})
+
         data = np.asarray(rows, dtype=float).reshape(-1, 3)
-        return NoiseRealization(
-            params=params,
-            truncation=trunc,
-            domain=dom,
+        realization = NoiseRealization(
+            params=law(StableParams),
+            truncation=law(TruncationSpec),
+            domain=law(SpaceTimeDomain),
             taus=data[:, 0].copy(),
             xs=data[:, 1].copy(),
             zs=data[:, 2].copy(),
-            compensator_mu=float(header["compensator_mu"]),
             seed=int(header["seed"]),
         )
+        for key, derived in (
+            ("compensator_mu", realization.compensator_mu),
+            ("n_jumps", realization.jump_count),
+        ):
+            if float(header[key]) != derived:
+                raise ParameterError(
+                    f"noise file header has {key}={header[key]}, "
+                    f"but its law and rows give {derived!r}"
+                )
+        return realization
 
 
 def sample_noise(
@@ -327,7 +327,6 @@ def sample_noise(
         taus=taus[order],
         xs=xs[order],
         zs=(signs * mags)[order],
-        compensator_mu=compensator_drift(params, trunc),
         seed=int(seed),
     )
 
@@ -380,21 +379,13 @@ def restrict(realization: NoiseRealization, K_new: float) -> NoiseRealization:
             f"K_new={K_new} outside the restrictable window "
             f"({trunc.small_cutoff_eps}, {trunc.big_cutoff_K}]"
         )
-    new_trunc = TruncationSpec(
-        big_cutoff_K=K_new,
-        small_cutoff_eps=trunc.small_cutoff_eps,
-        gaussian_correction=trunc.gaussian_correction,
-    )
     keep = np.abs(realization.zs) <= K_new
-    return NoiseRealization(
-        params=realization.params,
-        truncation=new_trunc,
-        domain=realization.domain,
+    return replace(
+        realization,
+        truncation=replace(trunc, big_cutoff_K=K_new),
         taus=realization.taus[keep].copy(),
         xs=realization.xs[keep].copy(),
         zs=realization.zs[keep].copy(),
-        compensator_mu=compensator_drift(realization.params, new_trunc),
-        seed=realization.seed,
     )
 
 

@@ -157,7 +157,7 @@ def test_criterion_04_deterministic_oracle():
 
     mild = solve_mild(prob, noise, grid)
     err_mild = float(np.max(np.abs(mild.values - exact)))
-    gal = spectral_to_grid(solve_galerkin(prob, noise, 16, grid), grid)
+    gal = spectral_to_grid(solve_galerkin(prob, noise, 16, grid))
     err_gal = float(np.max(np.abs(gal.values - exact)))
     peak = float(mild.values[-1].max())
 

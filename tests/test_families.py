@@ -212,6 +212,15 @@ def test_ordering_gate_samples_the_kinks_of_a_shifted_base():
             dominates(*pair, SpaceTimeDomain(1.0, 1.0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_subnormal_clip_slope_has_no_kink_at_infinity():
+    # cap/|slope| overflows to inf; an edge at +-inf would make the audit
+    # evaluate 0*inf in the zero-slope affine side
+    g = shifted(clipped_linear(5e-324, 1.0), 0.0)
+    assert _u_extremes(g).tolist() == [*_AUDIT_U_RANGE, 0.0]
+    assert dominates(affine(0.0, 0.0), g, SpaceTimeDomain(1.0, 1.0)).passed
+
+
 def same_bits(got, want) -> bool:
     want = np.asarray(want, float)
     return np.broadcast_to(np.asarray(got, float), want.shape).tobytes() == want.tobytes()

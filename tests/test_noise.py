@@ -174,7 +174,6 @@ class TestStoppingAndRestrict:
             taus=taus,
             xs=np.full_like(taus, 0.5),
             zs=zs,
-            compensator_mu=compensator_drift(params, trunc),
             seed=0,
         )
 
@@ -335,7 +334,6 @@ class TestConstructionInvariants:
             taus=np.asarray(taus, float),
             xs=np.asarray(xs, float),
             zs=np.asarray(zs, float),
-            compensator_mu=0.0,
             seed=0,
         )
 
@@ -400,6 +398,20 @@ class TestConstructionInvariants:
         with pytest.raises(ParameterError):
             NoiseRealization.load_text(path)
 
+    @pytest.mark.parametrize("key, value", [("compensator_mu", "0"), ("n_jumps", "5")])
+    def test_load_text_refuses_a_header_that_disagrees(self, tmp_path, key, value):
+        # comparison_demo's one-sided law: mu = 6.944, 46 jumps at seed 3
+        r = sample_noise(POS, TruncationSpec(1.0, 0.05), DOM, 3)
+        assert (r.compensator_mu, r.jump_count) == (pytest.approx(6.944, abs=1e-3), 46)
+        path = tmp_path / "noise.txt"
+        r.save_text(path)
+        lines = path.read_text().splitlines()
+        (at,) = [i for i, line in enumerate(lines) if line.startswith(f"# {key}=")]
+        lines[at] = f"# {key}={value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParameterError, match=key):
+            NoiseRealization.load_text(path)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -452,7 +464,6 @@ def realizations(draw):
         taus=np.sort(column(st.floats(0.0, dom.horizon_T))),
         xs=column(st.floats(0.0, dom.length_L)),
         zs=signs * mags,
-        compensator_mu=compensator_drift(params, trunc),
         seed=draw(st.integers(0, 2**63 - 1)),
     )
 
@@ -471,6 +482,7 @@ def test_save_load_round_trip_is_bitwise(tmp_path_factory, r):
     assert_same_arrays(back, r)
     assert (back.params, back.truncation, back.domain) == (r.params, r.truncation, r.domain)
     assert (back.seed, back.compensator_mu) == (r.seed, r.compensator_mu)
+    assert back.compensator_mu == compensator_drift(r.params, r.truncation)
 
 
 @PROPERTY_SETTINGS

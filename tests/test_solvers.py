@@ -74,7 +74,6 @@ def manual_noise(taus, xs, zs, trunc=TRUNC, params=SYM):
         taus=taus,
         xs=np.asarray(xs, float),
         zs=np.asarray(zs, float),
-        compensator_mu=compensator_drift(params, trunc),
         seed=0,
     )
 
@@ -709,7 +708,7 @@ class TestGaussianCorrectionSolves:
         b = solve_mild(prob, noise, GridSpec(16, 8))
         assert np.array_equal(a.values, b.values)
         assert np.all(a.values[:, 0] == 0.0)
-        g1 = spectral_to_grid(solve_galerkin(prob, noise, 4, GridSpec(16, 8)), GridSpec(16, 8))
+        g1 = spectral_to_grid(solve_galerkin(prob, noise, 4, GridSpec(16, 8)))
         assert np.all(np.isfinite(g1.values))
 
     def test_zero_noise_coef_ignores_field(self):
@@ -783,7 +782,7 @@ class TestGalerkin:
         dx = grid.dx(1.0)
         errs = []
         for m in (2, 4, 8):
-            gal = spectral_to_grid(solve_galerkin(prob, noise, m, grid), grid)
+            gal = spectral_to_grid(solve_galerkin(prob, noise, m, grid))
             errs.append(
                 max(
                     grid_h_norm(gal.values[i] - mild.values[i], dx)
@@ -843,14 +842,14 @@ class TestSpectralToGrid:
         prob = make_problem(init=ic_zero())
         noise = sample_noise(SYM, TRUNC, DOM, 7)
         sol = solve_galerkin(prob, noise, 4, GridSpec(8, 8))
-        grid_sol = spectral_to_grid(sol, GridSpec(8, 8))
+        grid_sol = spectral_to_grid(sol)
         assert np.all(grid_sol.values == 0.0)
 
     def test_single_mode_synthesis(self):
         prob = make_problem()
         noise = sample_noise(SYM, TRUNC, DOM, 7)
         sol = solve_galerkin(prob, noise, 2, GridSpec(8, 16))
-        grid_sol = spectral_to_grid(sol, GridSpec(8, 16))
+        grid_sol = spectral_to_grid(sol)
         nodes = grid_sol.nodes()
         expected = sol.coeffs @ np.stack(
             [math.sqrt(2.0) * np.sin((n + 1) * np.pi * nodes) for n in range(2)]
@@ -918,16 +917,6 @@ class TestWeakFormResidual:
             for n_t in (32, 64, 128, 256)
         ]
         assert all(coarse >= factor * fine for coarse, fine in zip(res, res[1:]))
-
-    def test_invalid_test_function_rejected(self):
-        prob = make_problem(init=ic_zero())
-        noise = sample_noise(SYM, TRUNC, DOM, 7)
-        sol = solve_mild(prob, noise, GridSpec(16, 8))
-        with pytest.raises(ParameterError):
-            weak_form_residual(sol, noise, lambda x: np.cos(np.pi * x), t=0.5)
-        with pytest.raises(ParameterError):
-            # vanishes at the ends but with nonzero slope
-            weak_form_residual(sol, noise, lambda x: np.sin(np.pi * x), t=0.5)
 
     def test_off_grid_time_rejected(self):
         prob = make_problem(init=ic_zero())
