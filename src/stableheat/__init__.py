@@ -1,8 +1,8 @@
 """Numerical laboratory for the heat equation driven by truncated
 heavy-tailed jump noise on [0, T] x [0, L] with absorbing boundaries.
 
-Subpackages by responsibility: ``noise`` (sampling and compensated
-integration of the jump field), ``kernel`` (Dirichlet heat kernel),
+Subpackages by responsibility: ``noise`` (sampling, stopping and
+restriction of the jump field), ``kernel`` (Dirichlet heat kernel),
 ``coefficients`` (declarative coefficient registry with audited
 hypotheses), ``solvers`` (causal mild-form and spectral projection
 solvers), ``experiments`` (seeded Monte Carlo checks), ``cli`` (one
@@ -59,8 +59,6 @@ from .noise import (
     TruncationSpec,
     compensator_drift,
     expected_jump_count,
-    integrate,
-    levy_moment,
     restrict,
     sample_noise,
     stopping_time,
@@ -76,7 +74,6 @@ from .solvers import (
     solve_galerkin,
     solve_mild,
     spectral_to_grid,
-    weak_form_residual,
 )
 
 __version__ = "0.1.0"

@@ -231,6 +231,19 @@ def positive_part_energy(w, dx: float):
     return grid_lp_norm_p(np.maximum(np.asarray(w, dtype=float), 0.0), dx, 2.0)
 
 
+def _require_one_sided_jumps(params: StableParams, theorem: str) -> None:
+    """A jump adds the point mass phi(u(tau-, x)) z delta_x, and just after
+    tau the kernel at x grows like (t - tau)^(-1/2): a negative z where
+    phi > 0 pushes u below zero, and where phi(u) < phi(v) flips the order
+    of u and v, however large the state is.  So both theorems need jumps of
+    one sign."""
+    if params.c_minus != 0.0:
+        raise HypothesisError(
+            f"{theorem} hypothesis violated: the theorem needs one-sided "
+            f"(c_minus = 0) jumps, got c_minus = {params.c_minus}"
+        )
+
+
 # -- tolerance calibration ------------------------------------------------
 
 
@@ -337,11 +350,13 @@ def run_comparison(
     Gates: drift of the first problem must be dominated by the drift of
     the second, initial data must be ordered, and the two problems must
     share parameters, truncation, domain, and a monotone noise
-    coefficient.  Each path solves both problems on one shared
-    realization and records the largest positive excursion of (u - v)
-    over the grid; all excursions must stay below the calibrated
-    tolerance, and the positive-part energy must stay below tol^2 * L
-    at every grid time.
+    coefficient.  The jumps must be one-sided (c_minus = 0): a two-sided
+    law is refused outright, even for a noise coefficient that does not
+    depend on u, where the jumps would cancel in u - v.  Each path solves
+    both problems on one shared realization and records the largest
+    positive excursion of (u - v) over the grid; all excursions must stay
+    below the calibrated tolerance, and the positive-part energy must stay
+    below tol^2 * L at every grid time.
     """
     if (
         problem_u.params != problem_v.params
@@ -354,6 +369,7 @@ def run_comparison(
         )
     if problem_u.noise_coef != problem_v.noise_coef:
         raise ParameterError("comparison requires a shared noise coefficient")
+    _require_one_sided_jumps(problem_u.params, "comparison")
     # the shared noise coefficient is audited once, with problem_u
     problem_u.validate(require_monotone=True)
     validate_hypothesis(problem_v.drift, problem_v.dom)
@@ -419,10 +435,11 @@ def run_nonnegativity(
 ) -> ExperimentReport:
     """Solutions from non-negative data stay above -tol on every path.
 
-    Gates: the initial profile must be non-negative and both
-    coefficients must vanish at zero state by family structure, not
-    just numerically.
+    Gates: the jumps must be one-sided (c_minus = 0), the initial profile
+    must be non-negative and both coefficients must vanish at zero state
+    by family structure, not just numerically.
     """
+    _require_one_sided_jumps(problem.params, "non-negativity")
     if not problem.init.is_nonnegative(problem.dom.length_L):
         raise HypothesisError(
             "non-negativity hypothesis violated: initial data has a negative dip"

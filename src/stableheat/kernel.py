@@ -44,9 +44,6 @@ needs a few arrays of its output's shape, not one per image.
 
 A solver propagating in N sine modes takes N from ``propagator_modes``,
 certified like n(t) at its shortest lag and so at every longer one.
-
-At t = 0 the kernel is a delta distribution; pointwise evaluation is
-refused and :meth:`KernelEvaluator.convolve` implements the identity.
 """
 
 from __future__ import annotations
@@ -54,16 +51,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    AccuracyError,
-    DeltaSingularityError,
-    NumericalError,
-    ParameterError,
-)
+from .errors import AccuracyError, DeltaSingularityError, ParameterError
 
 __all__ = ["KernelEvaluator"]
 
@@ -173,9 +164,7 @@ class KernelEvaluator:
         if t_min < 0.0:
             raise ParameterError(f"t must be non-negative, got {t_min}")
         if t_min == 0.0:
-            raise DeltaSingularityError(
-                "kernel at t=0 is a delta distribution; use convolve for t=0"
-            )
+            raise DeltaSingularityError("kernel at t=0 is a delta distribution")
         if self.method == "auto":
             on_image = t < self.crossover_time
         else:
@@ -242,73 +231,6 @@ class KernelEvaluator:
         # Mode after mode: val.sum(axis=0) would sum a 1-d batch pairwise but a
         # wider one row by row, so a value would depend on its batch's shape.
         return 2.0 / L * np.add.accumulate(val, axis=0)[-1]
-
-    # -- integral operations -------------------------------------------
-
-    def quad_nodes(self, n_quad: int) -> tuple[np.ndarray, float]:
-        """Composite-midpoint nodes and weight on [0, L]."""
-        if n_quad < 2:
-            raise ParameterError("n_quad must be >= 2")
-        w = self.length_L / n_quad
-        return (np.arange(n_quad) + 0.5) * w, w
-
-    def convolve(
-        self, t: float, h: Callable[[np.ndarray], np.ndarray], n_quad: int
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        """Return x -> integral of G_t(x, y) h(y) dy by midpoint quadrature.
-
-        t = 0 returns h itself (the kernel degenerates to the identity).
-        """
-        if t == 0.0:
-            return lambda x: np.asarray(h(np.asarray(x, float)), float)
-        nodes, w = self.quad_nodes(n_quad)
-        hv = np.asarray(h(nodes), dtype=float)
-        if hv.shape != nodes.shape:
-            hv = np.broadcast_to(hv, nodes.shape).copy()
-        if not np.all(np.isfinite(hv)):
-            raise NumericalError("convolution input is non-finite on [0, L]")
-
-        def conv(x):
-            xa = np.asarray(x, dtype=float)
-            vals = self.eval(t, xa[..., None], nodes)
-            return np.asarray(vals * hv).sum(axis=-1) * w
-
-        return conv
-
-    def check_semigroup(
-        self, s: float, t: float, x: float, z: float, n_quad: int
-    ) -> float:
-        """|integral G_s(x,y) G_t(y,z) dy - G_(s+t)(x,z)|."""
-        if s <= 0.0 or t <= 0.0:
-            raise ParameterError("semigroup check needs s, t > 0")
-        nodes, w = self.quad_nodes(n_quad)
-        lhs = float(np.sum(self.eval(s, x, nodes) * self.eval(t, nodes, z)) * w)
-        rhs = float(self.eval(s + t, x, z))
-        return abs(lhs - rhs)
-
-    def lp_norm_bound_check(
-        self, t: float, x: float, p: float, n_quad: int
-    ) -> tuple[float, float]:
-        """Quadrature value of int |G_t(x,y)|^p dy and its fitted bound.
-
-        The bound is C * t**(-(p-1)/2) with C fitted as the maximum of
-        ``value * t'**((p-1)/2)`` over a logarithmic sweep of the
-        validity range [1e-3 L^2, L^2] at the same x.
-        """
-        if p < 1.0:
-            raise ParameterError("p must be >= 1")
-        if t <= 0.0:
-            raise ParameterError("t must be positive")
-        nodes, w = self.quad_nodes(n_quad)
-
-        def value_at(tq: float) -> float:
-            return float(np.sum(np.abs(self.eval(tq, x, nodes)) ** p) * w)
-
-        sweep = np.geomspace(1e-3 * self.length_L ** 2, self.length_L ** 2, 25)
-        c_fit = max(value_at(tq) * tq ** ((p - 1.0) / 2.0) for tq in sweep)
-        value = value_at(t)
-        c_fit = max(c_fit, value * t ** ((p - 1.0) / 2.0))
-        return value, c_fit * t ** (-(p - 1.0) / 2.0)
 
 
 @functools.lru_cache(maxsize=16)

@@ -1,4 +1,4 @@
-"""Sampling and integration of truncated heavy-tailed space-time jump noise.
+"""Sampling of truncated heavy-tailed space-time jump noise.
 
 The driving noise is a compensated Poisson random measure on
 [0,T] x [0,L] x (R \\ {0}) whose jump-size intensity has density
@@ -17,8 +17,8 @@ the textbook construction via exponential waiting times on a shell
 partition of the jump space, but it is branch-free, fast, and makes
 realizations for different cutoffs pathwise coupled by plain filtering.
 A realization holds its jumps as three parallel time-sorted arrays
-(``taus``, ``xs``, ``zs``); the solvers, the integrator and the text
-format all read those arrays directly.
+(``taus``, ``xs``, ``zs``); the solvers and the text format read those
+arrays directly.
 
 All objects here are immutable after construction and safe to share
 across threads; parallelism is across seeds, never within a draw.
@@ -28,16 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
-from .errors import (
-    DivergenceError,
-    NumericalError,
-    ParameterError,
-    UnobservableEventError,
-)
+from .errors import ParameterError, UnobservableEventError
 
 __all__ = [
     "StableParams",
@@ -46,12 +41,10 @@ __all__ = [
     "NoiseRealization",
     "expected_jump_count",
     "compensator_drift",
-    "levy_moment",
     "sample_noise",
     "stopping_time",
     "survival_probability",
     "restrict",
-    "integrate",
 ]
 
 # Stream tag mixed into the seed when deriving the Gaussian-correction field.
@@ -143,21 +136,6 @@ def compensator_drift(params: StableParams, trunc: TruncationSpec) -> float:
     ) / (a - 1.0)
 
 
-def levy_moment(params: StableParams, K: float, p: float) -> float:
-    """Absolute p-moment of the cutoff-K jump-size density, K**(p-a)/(p-a).
-
-    Defined for p > alpha only; at and below alpha the integral diverges
-    at the origin.
-    """
-    if K <= 0.0:
-        raise ParameterError(f"cutoff must be positive, got {K}")
-    if p <= params.alpha:
-        raise DivergenceError(
-            f"moment integral diverges for p={p} <= stability index {params.alpha}"
-        )
-    return K ** (p - params.alpha) / (p - params.alpha)
-
-
 @dataclass(frozen=True)
 class NoiseRealization:
     """One sampled path of the truncated noise: finite jumps plus drift.
@@ -247,8 +225,9 @@ class NoiseRealization:
 
     @staticmethod
     def load_text(path) -> "NoiseRealization":
-        """Parse a file written by :meth:`save_text`, refusing a header whose
-        compensator drift or jump count disagrees with its law or its rows."""
+        """Parse a file written by :meth:`save_text`, refusing a header that
+        lacks a line, or whose compensator drift or jump count disagrees
+        with its law or its rows."""
         header: dict[str, str] = {}
         rows = []
         with open(path, "r", encoding="utf-8") as fh:
@@ -265,10 +244,15 @@ class NoiseRealization:
                 elif line and line != "tau,x,z":
                     rows.append([float(v) for v in line.split(",")])
 
+        def read(key):
+            if key not in header:
+                raise ParameterError(f"noise file header lacks a {key}= line")
+            return header[key]
+
         def law(cls):
             # every value reads as a number, a bool as 0 or 1
             kinds = get_type_hints(cls)
-            return cls(**{f.name: kinds[f.name](float(header[f.name])) for f in fields(cls)})
+            return cls(**{f.name: kinds[f.name](float(read(f.name))) for f in fields(cls)})
 
         data = np.asarray(rows, dtype=float).reshape(-1, 3)
         realization = NoiseRealization(
@@ -278,13 +262,13 @@ class NoiseRealization:
             taus=data[:, 0].copy(),
             xs=data[:, 1].copy(),
             zs=data[:, 2].copy(),
-            seed=int(header["seed"]),
+            seed=int(read("seed")),
         )
         for key, derived in (
             ("compensator_mu", realization.compensator_mu),
             ("n_jumps", realization.jump_count),
         ):
-            if float(header[key]) != derived:
+            if float(read(key)) != derived:
                 raise ParameterError(
                     f"noise file header has {key}={header[key]}, "
                     f"but its law and rows give {derived!r}"
@@ -387,59 +371,3 @@ def restrict(realization: NoiseRealization, K_new: float) -> NoiseRealization:
         xs=realization.xs[keep].copy(),
         zs=realization.zs[keep].copy(),
     )
-
-
-def integrate(
-    realization: NoiseRealization,
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    t_end: float,
-    *,
-    n_time_cells: int = 256,
-    n_space_cells: int = 256,
-) -> float:
-    """Compensated integral of g against the realization up to t_end.
-
-    Jump part: sum of ``g(tau_j, x_j) * z_j`` over jumps with
-    tau_j <= t_end, in time order.  Drift part:
-    ``mu * integral of g over [0, t_end] x [0, L]`` by composite
-    midpoint on an (n_time_cells, n_space_cells) grid covering the full
-    domain; cells whose center lies past t_end are excluded, so
-    additivity over time windows holds exactly for windows aligned with
-    cell boundaries.  With the Gaussian correction on, the field
-    realized on the same cell grid is added with the same alignment
-    rule.
-    """
-    if not 0.0 <= t_end <= realization.domain.horizon_T:
-        raise ParameterError(
-            f"t_end={t_end} outside [0, {realization.domain.horizon_T}]"
-        )
-    T, L = realization.domain.horizon_T, realization.domain.length_L
-
-    mask = realization.taus <= t_end
-    gj = np.asarray(
-        g(realization.taus[mask], realization.xs[mask]), dtype=float
-    )
-    if not np.all(np.isfinite(gj)):
-        raise NumericalError("integrand returned non-finite values at jump points")
-    jump_part = float(np.sum(gj * realization.zs[mask]))
-
-    dt = T / n_time_cells
-    dx = L / n_space_cells
-    t_centers = (np.arange(n_time_cells) + 0.5) * dt
-    x_centers = (np.arange(n_space_cells) + 0.5) * dx
-    t_keep = t_centers <= t_end
-    drift_part = 0.0
-    gauss_part = 0.0
-    if np.any(t_keep):
-        tt = t_centers[t_keep]
-        gv = np.asarray(g(tt[:, None], x_centers[None, :]), dtype=float)
-        gv = np.broadcast_to(gv, (tt.size, x_centers.size))
-        if not np.all(np.isfinite(gv)):
-            raise NumericalError(
-                "integrand returned non-finite values on the quadrature grid"
-            )
-        drift_part = realization.compensator_mu * float(np.sum(gv)) * dt * dx
-        if realization.truncation.gaussian_correction:
-            dW = realization.gaussian_increments(n_time_cells, n_space_cells)
-            gauss_part = float(np.sum(gv * dW[t_keep]))
-    return jump_part - drift_part + gauss_part

@@ -28,11 +28,10 @@ consequences of causality are exploited deliberately:
 ``solve_galerkin`` projects every jump onto the first m sine modes
 once, before it steps in time, and integrates the resulting finite
 jump-driven stiff system exactly between events with an exponential
-step, applying jumps at their exact times.  It and ``weak_form_residual``
-take the quadrature nodes alone, from ``GridSpec.quad_nodes``.
-Both solvers and the weak-form residual put a jump at time tau in the
-step j with s_j < tau <= s_(j+1) of ``GridSpec.times`` (step 0 for
-tau = 0): ``GridSpec.step_of`` is that one rule.
+step, applying jumps at their exact times.  It takes the quadrature nodes
+alone, from ``GridSpec.quad_nodes``.  Both solvers put a jump at time
+tau in the step j with s_j < tau <= s_(j+1) of ``GridSpec.times`` (step
+0 for tau = 0): ``GridSpec.step_of`` is that one rule.
 
 Both solvers are deterministic functions of (problem, noise, grid) and
 share immutable inputs, so concurrent solves need no locking.
@@ -65,7 +64,6 @@ __all__ = [
     "solve_mild",
     "solve_galerkin",
     "spectral_to_grid",
-    "weak_form_residual",
     "grid_h_norm",
     "grid_lp_norm_p",
 ]
@@ -98,7 +96,7 @@ class GridSpec:
 
     def step_of(self, horizon_T: float, t):
         """The step j with s_j < t <= s_(j+1) of ``times``, and 0 at t = 0:
-        the one step rule for jumps in both solvers and the diagnostics."""
+        the one step rule for jumps in both solvers."""
         return np.searchsorted(self.times(horizon_T)[1:-1], t, "left")
 
     def nodes(self, length_L: float) -> np.ndarray:
@@ -106,8 +104,9 @@ class GridSpec:
 
     def quad_nodes(self, length_L: float) -> tuple[np.ndarray, float]:
         """The 4*n_x composite midpoints on [0, L] and their weight: the
-        quadrature nodes of both solvers and the weak-form residual."""
-        return KernelEvaluator(length_L=length_L).quad_nodes(4 * self.n_x)
+        quadrature nodes of both solvers."""
+        w = length_L / (4 * self.n_x)
+        return (np.arange(4 * self.n_x) + 0.5) * w, w
 
 
 @dataclass(frozen=True)
@@ -567,65 +566,3 @@ def spectral_to_grid(sol: SpectralSolution) -> GridSolution:
         grid=grid,
         solver_tag=f"galerkin(m={sol.m})",
     )
-
-
-# -- weak-form residual diagnostic ----------------------------------------
-
-
-def weak_form_residual(sol: GridSolution, noise: NoiseRealization, *, t: float) -> float:
-    """Absolute residual of the variational identity at grid time t.
-
-    The test function is sin^3(pi x / L), which vanishes together with
-    its first derivative at both endpoints.  All integrals are evaluated
-    on the solution grid, so the residual carries the grid's
-    discretization error and shrinks under refinement.
-    """
-    problem, grid = sol.problem, sol.grid
-    T, L = problem.dom.horizon_T, problem.dom.length_L
-    dt, dx = grid.dt(T), grid.dx(L)
-    idx = int(round(t / dt))
-    if not 0 <= idx <= grid.n_t or abs(t - idx * dt) > 1e-9 * max(T, 1.0):
-        raise ParameterError(f"t={t} is not a grid time")
-
-    def chi(x):
-        return np.sin(math.pi * x / L) ** 3
-
-    nodes = grid.nodes(L)
-    chi_v = chi(nodes)
-    hh = 1e-4 * L
-    chi_dd = (chi(nodes + hh) - 2.0 * chi_v + chi(nodes - hh)) / hh**2
-
-    rows = sol.values[: idx + 1]
-    times = np.arange(idx + 1)[:, None] * dt
-
-    lhs = _trapezoid(rows[-1] * chi_v, dx)
-    rhs = _trapezoid(rows[0] * chi_v, dx)
-    rhs += 0.5 * np.trapezoid(_trapezoid(rows * chi_dd, dx), dx=dt)
-    f_rows = np.asarray(problem.drift.evaluate(times, nodes, rows), float)
-    rhs += np.trapezoid(_trapezoid(f_rows * chi_v, dx), dx=dt)
-
-    mu = noise.compensator_mu
-    if mu != 0.0:
-        phi_rows = np.asarray(problem.noise_coef.evaluate(times, nodes, rows), float)
-        rhs -= mu * np.trapezoid(_trapezoid(phi_rows * chi_v, dx), dx=dt)
-
-    t_end = grid.times(T)[idx]
-    for tau, xj, zj in zip(noise.taus, noise.xs, noise.zs):
-        if tau > t_end:
-            break
-        u_pre = float(np.interp(xj, nodes, sol.values[grid.step_of(T, tau)]))
-        phi_val = float(problem.noise_coef.evaluate(tau, xj, u_pre))
-        rhs += phi_val * float(np.interp(xj, nodes, chi_v)) * zj
-
-    if problem.trunc.gaussian_correction:
-        y_q, _ = grid.quad_nodes(L)
-        chi_q = chi(y_q)
-        dW = noise.gaussian_increments(grid.n_t, y_q.size)
-        for i in range(idx):
-            u_row = np.interp(y_q, nodes, sol.values[i])
-            pv = np.asarray(
-                problem.noise_coef.evaluate(i * dt, y_q, u_row), float
-            )
-            rhs += float(np.sum(pv * chi_q * dW[i]))
-
-    return abs(lhs - rhs)

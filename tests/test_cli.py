@@ -33,6 +33,8 @@ BASE_CONFIG = {
     },
     "initial": {"family": "sine_mode", "params": {"mode": 1, "amplitude": 1.0}},
 }
+# comparison and nonnegativity refuse two-sided jumps; consistency needs symmetric ones
+ONE_SIDED = {"alpha": 1.5, "c_plus": 1.0, "c_minus": 0.0}
 
 
 # A valid block per experiment, and per experiment one key that takes a
@@ -459,10 +461,11 @@ class TestVerify:
         assert summary["all_passed"] is True
         assert (out / "effective_config.json").exists()
 
-    def test_gate_failure_is_validation_error(self, tmp_path):
+    def test_gate_failure_is_validation_error(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
             {
+                "stable": ONE_SIDED,
                 "coefficients": {
                     "drift": {"family": "affine", "params": {"a": 0.0, "b": 0.2}},
                     "noise_coef": {
@@ -482,6 +485,7 @@ class TestVerify:
             main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
             == EXIT_VALIDATION
         )
+        assert "non-decreasing" in capsys.readouterr().err
 
     def test_failing_experiment_exits_4(self, tmp_path, capsys):
         # pure mode-1 forcing: every mode count shares the same
@@ -521,6 +525,7 @@ class TestVerify:
         cfg = write_config(
             tmp_path,
             {
+                "stable": ONE_SIDED if experiment == "nonnegativity" else BASE_CONFIG["stable"],
                 "coefficients": {
                     "drift": {"family": "affine", "params": {"a": 0.0, "b": 1e21}},
                     "noise_coef": {"family": "zero"},
@@ -672,7 +677,15 @@ class TestVerify:
         # a v1 key with no effect: every output but the wall-time sidecars
         # is byte-identical whatever it says, and it is not echoed
         experiments = {
-            "consistency": {"K_small": 0.5, "K_large": 1.0, "n_paths": 2},
+            "comparison": {
+                "n_paths": 2,
+                "problem_u": {
+                    "drift": {
+                        "family": "shifted",
+                        "params": {"base": BASE_CONFIG["coefficients"]["drift"], "delta": -0.5},
+                    },
+                },
+            },
             "galerkin_convergence": {"m_list": [1, 2]},
             "moment_estimate": {"n_paths": 2},
             "nonnegativity": {"n_paths": 2},
@@ -683,7 +696,7 @@ class TestVerify:
         ):
             cfg = write_config(
                 tmp_path,
-                {"solver": solver, "experiments": experiments},
+                {"stable": ONE_SIDED, "solver": solver, "experiments": experiments},
                 name=f"config{i}.json",
             )
             out = tmp_path / f"o{i}"

@@ -209,6 +209,36 @@ class TestNonnegativity:
         assert "drift" in str(err.value)
 
 
+class TestOneSidedJumpsGate:
+    """A negative jump adds a negative point mass wherever phi > 0, so it
+    drives u below zero and can flip the order of u and v: both theorems
+    need one-sided jumps, and a two-sided law is refused before any solve."""
+
+    @pytest.mark.parametrize("params", [
+        SYM, StableParams(1.5, 0.0, 1.0), StableParams(1.5, 0.99, 0.01),
+    ], ids=["symmetric", "negative", "nearly-one-sided"])
+    @pytest.mark.parametrize("run", [run_nonnegativity, run_comparison])
+    def test_two_sided_jumps_refused(self, run, params):
+        p = problem(params=params, init=ic_bump(1.0, 0.5, 0.6))
+        args = (p,) if run is run_nonnegativity else (p, p)
+        with pytest.raises(HypothesisError, match=r"one-sided \(c_minus = 0\) jumps"):
+            run(*args, GridSpec(16, 8), 2, 5)
+
+    def test_comparison_demo_on_a_two_sided_law_is_refused(self):
+        # with c_minus = 0.5 these paths used to end in a FAIL verdict
+        # (violation 0.127 against tolerance 0.038) instead of this error
+        cfg = RunConfig.parse(json.loads((CONFIGS / "comparison_demo.json").read_text()))
+        two_sided = StableParams(1.5, 0.5, 0.5)
+        for name in ("comparison", "nonnegativity"):
+            kwargs = dict(cfg.experiments[name], n_paths=2)
+            for key in ("problem", "problem_u", "problem_v"):
+                if key in kwargs:
+                    kwargs[key] = replace(kwargs[key], params=two_sided)
+            run = getattr(experiments, f"run_{name}")
+            with pytest.raises(HypothesisError, match=r"one-sided \(c_minus = 0\) jumps"):
+                run(**kwargs)
+
+
 class TestConsistency:
     def test_symmetric_coupling_passes_exactly(self):
         p = problem(trunc=TruncationSpec(1.0, 0.02))
@@ -372,16 +402,16 @@ def hash_cases(run):
                  observe_factor=100.0),
         ),
         run_comparison: (
-            dict(problem_u=problem(), problem_v=problem(), grid=GridSpec(8, 4), n_paths=1,
-                 seed=5),
-            dict(problem_u=problem(init=ic_sine_mode(1, 0.8, 1.0)),
-                 problem_v=problem(drift=shifted(affine(0.0, 0.2), 0.5)),
+            dict(problem_u=problem(POS), problem_v=problem(POS), grid=GridSpec(8, 4),
+                 n_paths=1, seed=5),
+            dict(problem_u=problem(POS, init=ic_sine_mode(1, 0.8, 1.0)),
+                 problem_v=problem(POS, drift=shifted(affine(0.0, 0.2), 0.5)),
                  grid=GridSpec(8, 8), n_paths=2, tol=0.5),
         ),
         run_nonnegativity: (
-            dict(problem=problem(init=ic_zero()), grid=GridSpec(8, 4), n_paths=1, seed=5),
-            dict(problem=problem(init=ic_bump(1.0, 0.5, 0.6)), grid=GridSpec(8, 8), n_paths=2,
-                 tol=0.5),
+            dict(problem=problem(POS, init=ic_zero()), grid=GridSpec(8, 4), n_paths=1, seed=5),
+            dict(problem=problem(POS, init=ic_bump(1.0, 0.5, 0.6)), grid=GridSpec(8, 8),
+                 n_paths=2, tol=0.5),
         ),
         run_consistency: (
             dict(problem=problem(trunc=coupled), seed=17, K_small=0.5, K_large=1.0,

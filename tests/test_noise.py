@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import integrate, levy_moment
 from stableheat.errors import (
     DivergenceError,
     ParameterError,
@@ -17,8 +18,6 @@ from stableheat.noise import (
     TruncationSpec,
     compensator_drift,
     expected_jump_count,
-    integrate,
-    levy_moment,
     restrict,
     sample_noise,
     stopping_time,
@@ -410,6 +409,18 @@ class TestConstructionInvariants:
         lines[at] = f"# {key}={value}"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParameterError, match=key):
+            NoiseRealization.load_text(path)
+
+    @pytest.mark.parametrize("key", ["alpha", "seed", "compensator_mu", "n_jumps"])
+    def test_load_text_names_a_missing_header_line(self, tmp_path, key):
+        path = tmp_path / "noise.txt"
+        sample_noise(POS, TruncationSpec(1.0, 0.05), DOM, 3).save_text(path)
+        lines = [
+            line for line in path.read_text().splitlines()
+            if not line.startswith(f"# {key}=")
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParameterError, match=f"lacks a {key}= line"):
             NoiseRealization.load_text(path)
 
 

@@ -1,8 +1,10 @@
 """The package's public surface is exactly the modules' ``__all__`` lists:
 a name deleted from a module cannot linger in an ``__all__`` or in the
-package's re-exports."""
+package's re-exports.  The tests' oracles are built on that surface."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +36,19 @@ def test_package_reexports_exactly_the_module_exports():
     }
     assert reexported.keys() == expected.keys()
     assert all(reexported[attr] is expected[attr] for attr in expected)
+
+
+def test_the_oracles_import_public_names_only():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = [
+        (getattr(node, "module", None) or "", alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    assert any(module.startswith("stableheat") for module, _ in imported)
+    assert not [
+        (module, name) for module, name in imported
+        if any(part.startswith("_") for part in [*module.split("."), *name.split(".")])
+    ]

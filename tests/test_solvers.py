@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import midpoint_nodes, weak_form_residual
 from stableheat.coefficients import (
     affine,
     clipped_linear,
@@ -39,7 +40,6 @@ from stableheat.solvers import (
     solve_galerkin,
     solve_mild,
     spectral_to_grid,
-    weak_form_residual,
     _LAG_MIN_FACTOR,
     _basis_matrix,
     _grid_constants,
@@ -361,7 +361,7 @@ class TestSineFactors:
         assert target == 1e-3 * ke.abs_tol
 
         x_out = np.linspace(0.0, L, n_x + 1)
-        y_q, w_q = ke.quad_nodes(4 * n_x)
+        y_q, w_q = midpoint_nodes(L, 4 * n_x)
         x_all = np.concatenate([x_out, y_q])
         basis, proj, rates = _sine_factors(ke, x_all, y_q, w_q, dt)
         assert basis.shape[1] == N and rates.shape == (N,)
@@ -402,7 +402,7 @@ class TestGridConstants:
         for (L, T, grid), g in zip(self.KEYS, built):
             assert _grid_constants(L, T, grid) is g  # built once per grid
             ke = KernelEvaluator(length_L=L)
-            y_q, w_q = ke.quad_nodes(4 * grid.n_x)
+            y_q, w_q = midpoint_nodes(L, 4 * grid.n_x)
             x_all = np.concatenate([grid.nodes(L), y_q])
             fresh = _sine_factors(ke, x_all, y_q, w_q, grid.dt(T))
             assert g.dt == grid.dt(T) and g.w_q == w_q
@@ -565,10 +565,12 @@ class TestMildContracts:
     def test_each_jump_is_read_by_exactly_one_step(self, monkeypatch):
         # jumps exactly at every step end j*dt and at j/n_t, which differ
         # from it in the last bit on some grids, so jumps sit on either side
-        # of a step end, and at t = 0 and T (past the last right end
-        # 0.9999999999999999 at n_t = 49).  The steps must split the jumps,
-        # each step must hold only jumps in its (j*dt, (j+1)*dt], and u(T)
-        # must hold each jump's heat-kernel column once
+        # of a step end, and at t = 0 and T.  The last step ends at T itself
+        # (``GridSpec.times`` ends at T), though n_t*dt is 0.9999999999999999
+        # at n_t = 49, so the jump at T is the last step's.  The steps must
+        # split the jumps, each step must hold only jumps in its
+        # (j*dt, (j+1)*dt], and u(T) must hold each jump's heat-kernel
+        # column once
         seen = []
         march_orig = solvers._march
 
