@@ -32,7 +32,6 @@ from .errors import (
     BlowUpError,
     ConfigError,
     DeltaSingularityError,
-    DivergenceError,
     HypothesisError,
     NumericalError,
     ParameterError,

@@ -20,10 +20,6 @@ class ConfigError(ParameterError):
     """Malformed or inconsistent run configuration."""
 
 
-class DivergenceError(ParameterError):
-    """A closed-form integral is infinite for the requested exponent."""
-
-
 class UnobservableEventError(ParameterError):
     """The requested event cannot be decided from the sampled jumps."""
 

@@ -164,15 +164,11 @@ class ExperimentReport:
             fh.write("\n")
         if self.per_path:
             cols = sorted(self.per_path)
-            n = max(len(v) for v in self.per_path.values())
+            rows = list(zip(*(self.per_path[c] for c in cols), strict=True))
             with open(base + "_paths.csv", "w", encoding="utf-8") as fh:
                 fh.write("path_index," + ",".join(cols) + "\n")
-                for i in range(n):
-                    row = [
-                        f"{self.per_path[c][i]:.17g}" if i < len(self.per_path[c]) else ""
-                        for c in cols
-                    ]
-                    fh.write(f"{i}," + ",".join(row) + "\n")
+                for i, row in enumerate(rows):
+                    fh.write(f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n")
         with open(base + "_timing.json", "w", encoding="utf-8") as fh:
             json.dump({"runtime_seconds": self.runtime_seconds}, fh)
             fh.write("\n")

@@ -12,35 +12,31 @@ spectral series
     * exp(-n^2 pi^2 t / (2 L^2))`` -- terms decay fast in n when t is
     large relative to L^2.
 
-The default method switches between them at t = L^2/pi, where the two
-tail bounds are comparable, so the configured absolute tolerance is
-certified analytically at every call: evaluations whose truncation
-bound exceeds ``abs_tol`` raise instead of silently degrading.
+``eval`` serves t below the crossover t = L^2/pi from the image sum,
+capped at level 15 (the shifts |k| <= 8), and the rest from 128 series
+modes.  The image tail bound grows with t and the series bound falls,
+so the crossover is each one's worst t: an evaluator certifies both
+there against ``abs_tol`` = 1e-10 once, at construction, and raises
+``AccuracyError`` if either misses; no evaluation checks again.
 
 The image sum is ordered in levels by each image's least distance to
 [0, L] over x, y in [0, L]: level 0 is the three images y-x, y+x and
 y+x-2L, and every level m >= 1 holds two images at distance mL, so the
 levels beyond n are bounded by ``sum_(m>n) 2 exp(-(mL)^2/(2t)) /
-sqrt(2 pi t)``.  Each value sums only its own level count n(t): the
+sqrt(2 pi t)``.  Each value sums only its own level count n(t), the
 smallest n whose tail bound is within ``_TAIL_FRACTION`` of ``abs_tol``
-(level 0 alone, three images, up to t = 0.0157 L^2, which covers every
-lag within one step at n_t >= 64 and T = L^2; levels 0 and 1, five
-images, up to t = 0.0644 L^2).  Below the crossover the tail bound
-grows with t, so n(t) is a step function whose limits are bisected once
-per evaluator configuration; ``image_terms`` caps it at the levels of
-the shifts |k| <= image_terms, 2*image_terms - 1.
+(level 0 alone up to t = 0.0157 L^2, every lag within one step at
+n_t >= 64 and T = L^2; levels 0 and 1 up to t = 0.0644 L^2), a step
+function whose limits are bisected once per length.
 
-``eval`` takes arrays of t that broadcast with x and y, and certifies a
-batch once per method: the image sum at the batch's largest t, the
-series at its smallest, since the image bound grows and the series
-bound falls with t.  A value depends on its own (t, x, y) only, never on
-the batch around it: the batch is evaluated at its largest level count,
-the levels beyond an element's own count are exact zeros, and levels are
-summed in order, so a batched value equals the scalar one bitwise.  The
-t-only quantities (2t, normalization, level counts, method split) are
-computed at t's shape and the boundary mask at that of x and y, and the
-image sum adds its images one at a time into one accumulator, so a batch
-needs a few arrays of its output's shape, not one per image.
+``eval`` takes arrays of t that broadcast with x and y.  A value depends
+on its own (t, x, y) only: the batch is evaluated at its largest level
+count, the levels beyond an element's own count are exact zeros, and
+levels are summed in order, so a batched value equals the scalar one
+bitwise.  The t-only quantities are computed at t's shape and the
+boundary mask at that of x and y, and the image sum adds its images one
+at a time into one accumulator, so a batch needs a few arrays of its
+output's shape, not one per image.
 
 A solver propagating in N sine modes takes N from ``propagator_modes``,
 certified like n(t) at its shortest lag and so at every longer one.
@@ -51,6 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -58,33 +55,38 @@ from .errors import AccuracyError, DeltaSingularityError, ParameterError
 
 __all__ = ["KernelEvaluator"]
 
-_METHODS = ("auto", "image_sum", "spectral")
+# The image sum's level cap (the levels of the shifts |k| <= 8), the
+# series' mode count, and the tolerance both are certified to.
+_IMAGE_LEVELS = 15
+_SERIES_MODES = 128
+_ABS_TOL = 1e-10
 
 # An image sum stops at the first level count, and a solver's sine
 # propagator at the first mode count, whose tail bound is within this
-# fraction of abs_tol; only image_terms itself is held to abs_tol.
+# fraction of abs_tol; only the level cap itself is held to abs_tol.
 _TAIL_FRACTION = 1e-3
 
 
 @dataclass(frozen=True)
 class KernelEvaluator:
-    """Configured evaluator; immutable, shareable, all methods pure."""
+    """The kernel on [0, length_L]; immutable, shareable, all methods pure."""
 
     length_L: float
-    method: str = "auto"
-    image_terms: int = 8
-    spectral_modes: int = 128
-    abs_tol: float = 1e-10
+    abs_tol: ClassVar[float] = _ABS_TOL
 
     def __post_init__(self):
         if self.length_L <= 0.0:
             raise ParameterError("length_L must be positive")
-        if self.method not in _METHODS:
-            raise ParameterError(f"method must be one of {_METHODS}")
-        if self.image_terms < 1 or self.spectral_modes < 1:
-            raise ParameterError("image_terms and spectral_modes must be >= 1")
-        if self.abs_tol <= 0.0:
-            raise ParameterError("abs_tol must be positive")
+        t_c = self.crossover_time
+        for name, bound in (
+            ("image sum", self.image_tail_bound(t_c, _IMAGE_LEVELS)),
+            ("sine series", self.spectral_tail_bound(t_c, _SERIES_MODES)),
+        ):
+            if bound > _ABS_TOL:
+                raise AccuracyError(
+                    f"{name} truncation bound {bound:.3e} at the crossover "
+                    f"t={t_c:.3e} exceeds abs_tol {_ABS_TOL:.3e} for L={self.length_L}"
+                )
 
     # -- representation selection and certified truncation bounds ------
 
@@ -93,24 +95,21 @@ class KernelEvaluator:
         """Hand-off point between image sum (below) and series (above)."""
         return self.length_L ** 2 / math.pi
 
-    def image_tail_bound(self, t: float, level: int | None = None) -> float:
-        """Upper bound on the dropped image levels beyond ``level`` (by
-        default 2*image_terms - 1, the levels of the shifts |k| <= image_terms)."""
+    def image_tail_bound(self, t: float, level: int) -> float:
+        """Upper bound on the dropped image levels beyond ``level``."""
         L = self.length_L
-        n = 2 * self.image_terms - 1 if level is None else level
         # Level m >= 1 holds two images at least mL from [0, L].
         total = 0.0
-        for m in range(n + 1, n + 120):
+        for m in range(level + 1, level + 120):
             term = 2.0 * math.exp(-(m * L) ** 2 / (2.0 * t))
             total += term
             if term < 1e-300:
                 break
         return total / math.sqrt(2.0 * math.pi * t)
 
-    def spectral_tail_bound(self, t: float, N: int | None = None) -> float:
-        """Upper bound on the dropped n > N series terms (N = spectral_modes by default)."""
+    def spectral_tail_bound(self, t: float, N: int) -> float:
+        """Upper bound on the dropped n > N series terms."""
         L = self.length_L
-        N = self.spectral_modes if N is None else N
         rate = math.pi ** 2 * t / (2.0 * L ** 2)
         total = 0.0
         for n in range(N + 1, N + 400):
@@ -128,7 +127,7 @@ class KernelEvaluator:
 
         The walk starts at a lower bound: below it the first dropped term,
         (2/L) exp(-rate (N+1)^2), alone exceeds the target."""
-        target = _TAIL_FRACTION * self.abs_tol
+        target = _TAIL_FRACTION * _ABS_TOL
         rate = math.pi ** 2 * t_min / (2.0 * self.length_L ** 2)
         first = math.log(max(2.0 / (self.length_L * target), 1.0)) / rate
         N = max(1, math.floor(math.sqrt(first)) - 1)
@@ -139,18 +138,6 @@ class KernelEvaluator:
     def _image_levels(self, t: np.ndarray) -> np.ndarray:
         """The certified level count n(t) of each element of t."""
         return np.searchsorted(_image_level_limits(self), t, "left")
-
-    def _check_accuracy(self, t: float, method: str) -> None:
-        if method == "image_sum":
-            bound = self.image_tail_bound(t)
-        else:
-            bound = self.spectral_tail_bound(t)
-        if bound > self.abs_tol:
-            raise AccuracyError(
-                f"kernel truncation bound {bound:.3e} exceeds abs_tol "
-                f"{self.abs_tol:.3e} for method={method} at t={t:.3e}; "
-                "increase image_terms/spectral_modes or evaluate at larger t"
-            )
 
     # -- pointwise evaluation ------------------------------------------
 
@@ -165,13 +152,10 @@ class KernelEvaluator:
             raise ParameterError(f"t must be non-negative, got {t_min}")
         if t_min == 0.0:
             raise DeltaSingularityError("kernel at t=0 is a delta distribution")
-        if self.method == "auto":
-            on_image = t < self.crossover_time
-        else:
-            on_image = np.full(t.shape, self.method == "image_sum")
+        on_image = t < self.crossover_time
         if on_image.all():
             out = np.asarray(self._eval_image(t, x, y))
-        else:  # the series, or each side of the crossover by its method
+        else:  # the series, or each side of the crossover by its own
             tb, xb, yb = np.broadcast_arrays(t, x, y)
             img = np.broadcast_to(on_image, shape)
             out = np.empty(shape)
@@ -186,11 +170,6 @@ class KernelEvaluator:
         return out if out.ndim else float(out)
 
     def _eval_image(self, t, x, y):
-        t_max = float(t.max())
-        # The tail bound grows with t below the crossover, so the largest
-        # t certifies the batch; beyond it every t is checked.
-        for t_check in [t_max] if t_max < self.crossover_time else np.unique(t):
-            self._check_accuracy(float(t_check), "image_sum")
         levels = self._image_levels(t)
         two_t = 2.0 * t
         buf = np.empty(np.broadcast_shapes(t.shape, x.shape, y.shape))
@@ -222,10 +201,8 @@ class KernelEvaluator:
         return total / np.sqrt(2.0 * math.pi * t)
 
     def _eval_spectral(self, t, x, y):
-        # The series tail bound falls as t grows: the smallest t certifies.
-        self._check_accuracy(float(t.min()), "spectral")
         L = self.length_L
-        n = np.arange(1, self.spectral_modes + 1).reshape((-1,) + (1,) * t.ndim)
+        n = np.arange(1, _SERIES_MODES + 1).reshape((-1,) + (1,) * t.ndim)
         decay = np.exp(-(n * math.pi / L) ** 2 * t / 2.0)
         val = np.sin(n * math.pi * x / L) * np.sin(n * math.pi * y / L) * decay
         # Mode after mode: val.sum(axis=0) would sum a 1-d batch pairwise but a
@@ -236,16 +213,16 @@ class KernelEvaluator:
 @functools.lru_cache(maxsize=16)
 def _image_level_limits(ke: KernelEvaluator) -> tuple:
     """limits[n]: a t up to which the levels 0..n are certified, for each
-    level count n below the cap 2*image_terms - 1.
+    level count n below the cap ``_IMAGE_LEVELS``.
 
     Each limit is bisected on (0, crossover_time], where the tail bound
     grows with t, and is a t at which the bound holds (or 0.0).  More
     levels hold the bound at every t where fewer do, so the bisections
     part ways in order and the limits come out sorted.
     """
-    target = _TAIL_FRACTION * ke.abs_tol
+    target = _TAIL_FRACTION * _ABS_TOL
     limits = []
-    for n in range(2 * ke.image_terms - 1):
+    for n in range(_IMAGE_LEVELS):
         lo, hi = 0.0, ke.crossover_time
         for _ in range(60):
             mid = 0.5 * (lo + hi)

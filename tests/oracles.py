@@ -4,6 +4,11 @@ Each one is built from the package's public names alone, so a test that
 holds the package against one holds it against a second spelling of the
 same mathematics:
 
+* ``series_oracle``, ``full_image_sum`` and ``image_sum``: the Dirichlet
+  heat kernel from each of its representations, in plain floats, in
+  40-digit decimals and in numpy, each at a fixed truncation, and
+  ``other_representation``, which reads at each t the one that the
+  kernel does not use there;
 * ``midpoint_nodes``, ``convolve``, ``check_semigroup`` and ``lp_norm``:
   midpoint quadrature in y against the Dirichlet heat kernel;
 * ``integrate`` and ``levy_moment``: the compensated integral of a test
@@ -15,16 +20,84 @@ same mathematics:
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from typing import Callable
 
 import numpy as np
 
-from stableheat.errors import DivergenceError, NumericalError, ParameterError
+from stableheat.errors import NumericalError, ParameterError
 from stableheat.kernel import KernelEvaluator
 from stableheat.noise import NoiseRealization, StableParams
 from stableheat.solvers import GridSolution
 
 # -- the heat kernel ------------------------------------------------------
+
+_PI_40 = Decimal("3.141592653589793238462643383279502884197")
+
+
+def series_oracle(t, x, y, L=1.0, n_max=60):
+    """G_t(x, y) from its first n_max sine modes, term by term in plain
+    floats, and a bound on the dropped modes."""
+    total = 0.0
+    for n in range(1, n_max + 1):
+        lam = (n * math.pi / L) ** 2 / 2.0
+        total += (2.0 / L) * math.sin(n * math.pi * x / L) * math.sin(
+            n * math.pi * y / L
+        ) * math.exp(-lam * t)
+    rate = math.pi**2 * t / (2 * L * L)
+    tail = (2.0 / L) * math.exp(-rate * (n_max + 1) ** 2) / (1 - math.exp(-rate))
+    return total, tail
+
+
+def full_image_sum(t, x, y, L, shifts=8):
+    """G_t(x, y) from the 2*shifts+1 image pairs, and the sum of the
+    absolute terms that a float sum's rounding scales with.
+
+    The floats are read exactly and everything after is taken in 40-digit
+    decimals, so the oracle's own rounding is negligible next to a
+    float's: at x = L, where the images cancel in pairs, it returns 0.
+    """
+    with localcontext(prec=40):
+        t, x, y, L = (Decimal(v) for v in (t, x, y, L))
+        total = scale = Decimal(0)
+        for k in range(-shifts, shifts + 1):
+            direct = (-((y - x + 2 * k * L) ** 2) / (2 * t)).exp()
+            reflected = (-((y + x + 2 * k * L) ** 2) / (2 * t)).exp()
+            total += direct - reflected
+            scale += direct + reflected
+        norm = (2 * _PI_40 * t).sqrt()
+        return float(total / norm), float(scale / norm)
+
+
+def image_sum(t, x, y, L, shifts=8):
+    """G_t(x, y) from the 2*shifts+1 image pairs, all of them at every t,
+    in numpy floats; t, x and y broadcast.
+
+    Each image's exponent -(y -+ x + 2kL)^2 / (2t) and its exponential
+    are formed by the same float operations as in the kernel's image sum,
+    whose rounding an exact oracle would add to every difference (as a
+    relative error of up to the exponent times eps); the images are
+    summed in numpy's own order.  G vanishes on the boundary, where the
+    images cancel only to rounding, so it is zero there.
+    """
+    t, x, y = (np.asarray(v, float) for v in (t, x, y))
+    k = np.arange(-shifts, shifts + 1).reshape((-1,) + (1,) * max(t.ndim, x.ndim, y.ndim))
+    diff = y - x + 2.0 * L * k
+    summ = y + x + 2.0 * L * k
+    val = np.exp(-(diff * diff) / (2.0 * t)) - np.exp(-(summ * summ) / (2.0 * t))
+    val = val.sum(axis=0) / np.sqrt(2.0 * math.pi * t)
+    return np.where((x == 0.0) | (x == L) | (y == 0.0) | (y == L), 0.0, val)
+
+
+def other_representation(t, x, y, L=1.0):
+    """G_t(x, y) from the oracle of the representation that the kernel
+    does not use at t: the series below its crossover t = L^2/pi, the
+    image sum above it."""
+    if t < L * L / math.pi:
+        value, tail = series_oracle(t, x, y, L, n_max=256)
+        assert tail < 1e-20
+        return value
+    return full_image_sum(t, x, y, L)[0]
 
 
 def midpoint_nodes(length_L: float, n_quad: int) -> tuple[np.ndarray, float]:
@@ -89,7 +162,7 @@ def levy_moment(params: StableParams, K: float, p: float) -> float:
     if K <= 0.0:
         raise ParameterError(f"cutoff must be positive, got {K}")
     if p <= params.alpha:
-        raise DivergenceError(
+        raise ParameterError(
             f"moment integral diverges for p={p} <= stability index {params.alpha}"
         )
     return K ** (p - params.alpha) / (p - params.alpha)

@@ -46,7 +46,12 @@ VALID_BLOCKS = {
     "moment_estimate": {"n_paths": 2},
     "comparison": {
         "n_paths": 2,
-        "problem_u": {"drift": {"family": "affine", "params": {"a": 0.0, "b": 0.1}}},
+        "problem_u": {
+            "drift": {
+                "family": "shifted",
+                "params": {"base": BASE_CONFIG["coefficients"]["drift"], "delta": -0.5},
+            },
+        },
     },
     "nonnegativity": {"n_paths": 2},
 }
@@ -603,6 +608,14 @@ class TestVerify:
         for name, kwargs in cfg.experiments.items():
             if name != "stopping_law":
                 assert kwargs["grid"] == GridSpec(8, 4), name
+
+    @pytest.mark.parametrize("name", list(VALID_BLOCKS))
+    def test_each_valid_block_passes_validation(self, tmp_path, capsys, name):
+        # each block alone, on the jump law its experiment accepts
+        stable = ONE_SIDED if name in ("comparison", "nonnegativity") else BASE_CONFIG["stable"]
+        cfg = write_config(tmp_path, {"stable": stable, "experiments": {name: VALID_BLOCKS[name]}})
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code != EXIT_VALIDATION, capsys.readouterr().err
 
     def test_experiment_order_names_every_run(self):
         runs = {n.removeprefix("run_") for n in experiments.__all__ if n.startswith("run_")}

@@ -376,6 +376,16 @@ class TestReports:
         rep2 = run_stopping_law(SYM, 1.0, DOM, 200, 7)
         assert rep.to_json_dict() == rep2.to_json_dict()
 
+    def test_ragged_per_path_columns_are_refused(self, tmp_path):
+        # every run_* returns per-path columns of one length each; a
+        # shorter column is a fault, not a row to pad
+        rep = run_stopping_law(SYM, 1.0, DOM, 20, 7)
+        short = rep.per_path["survived"][:-1]
+        ragged = replace(rep, per_path=dict(rep.per_path, short=short))
+        with pytest.raises(ValueError):
+            ragged.write(tmp_path)
+        assert not (tmp_path / "stopping_law_paths.csv").exists()
+
     def test_thread_count_invariance(self):
         p = problem()
         a = run_moment_estimate(p, GridSpec(16, 8), 4, 2.0, seed=5, threads=1)

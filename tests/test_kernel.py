@@ -1,42 +1,44 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import check_semigroup, convolve, lp_norm
+from oracles import (
+    check_semigroup,
+    convolve,
+    full_image_sum,
+    image_sum,
+    lp_norm,
+    other_representation,
+    series_oracle,
+)
+from stableheat import kernel
 from stableheat.errors import AccuracyError, DeltaSingularityError, ParameterError
-from stableheat.kernel import _TAIL_FRACTION, KernelEvaluator, _image_level_limits
-
-
-def series_oracle(t, x, y, L=1.0, n_max=60):
-    """Independent sine-series evaluation with an explicit tail bound."""
-    total = 0.0
-    for n in range(1, n_max + 1):
-        lam = (n * math.pi / L) ** 2 / 2.0
-        total += (2.0 / L) * math.sin(n * math.pi * x / L) * math.sin(
-            n * math.pi * y / L
-        ) * math.exp(-lam * t)
-    rate = math.pi**2 * t / (2 * L * L)
-    tail = (2.0 / L) * math.exp(-rate * (n_max + 1) ** 2) / (1 - math.exp(-rate))
-    return total, tail
+from stableheat.kernel import (
+    _IMAGE_LEVELS,
+    _SERIES_MODES,
+    _TAIL_FRACTION,
+    KernelEvaluator,
+    _image_level_limits,
+)
 
 
 class TestPointwise:
     def test_reference_value(self):
-        # five-term series with tail bound, cross-checked against both methods
+        # five-term series with tail bound, cross-checked against the image sum
         oracle, tail = series_oracle(0.1, 0.5, 0.5, n_max=5)
         assert tail < 1e-6
         assert oracle == pytest.approx(1.24457, abs=1e-5)
         fine, fine_tail = series_oracle(0.1, 0.5, 0.5, n_max=60)
         assert fine_tail < 1e-300
-        for method in ("image_sum", "spectral", "auto"):
-            ke = KernelEvaluator(1.0, method=method)
-            val = ke.eval(0.1, 0.5, 0.5)
-            assert val == pytest.approx(oracle, abs=tail + 1e-12)
-            assert val == pytest.approx(fine, abs=1e-12)
+        assert full_image_sum(0.1, 0.5, 0.5, 1.0)[0] == pytest.approx(fine, abs=1e-12)
+        val = KernelEvaluator(1.0).eval(0.1, 0.5, 0.5)
+        assert val == pytest.approx(oracle, abs=tail + 1e-12)
+        assert val == pytest.approx(fine, abs=1e-12)
 
     def test_dirichlet_boundary_zero(self):
         ke = KernelEvaluator(1.0)
@@ -49,23 +51,23 @@ class TestPointwise:
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         x, y = rng.random(200), rng.random(200)
-        kes = KernelEvaluator(1.0, method="spectral")
-        a = kes.eval(0.4, x, y)
-        b = kes.eval(0.4, y, x)
+        ke = KernelEvaluator(1.0)
+        a = ke.eval(0.4, x, y)  # past the crossover: the series
+        b = ke.eval(0.4, y, x)
         assert np.array_equal(a, b)  # bitwise for the spectral series
-        kei = KernelEvaluator(1.0, method="image_sum")
-        np.testing.assert_allclose(
-            kei.eval(0.05, x, y), kei.eval(0.05, y, x), atol=kei.abs_tol
+        np.testing.assert_allclose(  # the image sum
+            ke.eval(0.05, x, y), ke.eval(0.05, y, x), atol=ke.abs_tol
         )
 
     def test_representation_agreement_sweep(self):
+        # each side of the crossover against the other representation
         rng = np.random.default_rng(1)
-        kei = KernelEvaluator(1.0, method="image_sum")
-        kes = KernelEvaluator(1.0, method="spectral")
+        ke = KernelEvaluator(1.0)
         ts = np.exp(rng.uniform(math.log(1e-3), 0.0, size=200))
         xs, ys = rng.random(200), rng.random(200)
+        assert ts.min() < ke.crossover_time < ts.max()
         for t, x, y in zip(ts, xs, ys):
-            assert abs(kei.eval(t, x, y) - kes.eval(t, x, y)) <= 2e-10
+            assert abs(ke.eval(t, x, y) - other_representation(t, x, y)) <= 2e-10
 
     def test_positivity(self):
         rng = np.random.default_rng(2)
@@ -78,25 +80,40 @@ class TestPointwise:
         with pytest.raises(DeltaSingularityError):
             KernelEvaluator(1.0).eval(0.0, 0.5, 0.5)
 
-    def test_accuracy_guard(self):
-        starved = KernelEvaluator(1.0, method="spectral", spectral_modes=4)
-        with pytest.raises(AccuracyError):
-            starved.eval(1e-4, 0.5, 0.5)
-        # same t is fine via the image representation
-        assert KernelEvaluator(1.0, method="image_sum").eval(1e-4, 0.5, 0.5) > 0
+    def test_accuracy_guard(self, monkeypatch):
+        # both truncations hold abs_tol at the crossover, their worst t, for
+        # lengths far beyond any problem's; a starved one fails construction
+        for L in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            ke = KernelEvaluator(L)
+            t_c = ke.crossover_time
+            assert ke.image_tail_bound(t_c, _IMAGE_LEVELS) <= ke.abs_tol
+            assert ke.spectral_tail_bound(t_c, _SERIES_MODES) <= ke.abs_tol
+        for name in ("_IMAGE_LEVELS", "_SERIES_MODES"):
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel, name, 2)
+                with pytest.raises(AccuracyError, match="exceeds abs_tol"):
+                    KernelEvaluator(1.0)
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel, name, 3)
+                KernelEvaluator(1.0)  # the fewest that still certify
 
-    def test_accuracy_guard_on_batches(self):
-        # one uncertifiable t fails the whole batch, whatever its position
-        starved = KernelEvaluator(1.0, method="spectral", spectral_modes=4)
-        assert np.all(starved.eval(np.array([0.5, 0.3]), 0.5, 0.5) > 0)
-        with pytest.raises(AccuracyError):
-            starved.eval(np.array([0.5, 1e-4, 0.3]), 0.5, 0.5)
-        few_images = KernelEvaluator(1.0, method="image_sum", image_terms=1)
-        assert np.all(few_images.eval(np.array([0.01, 0.05]), 0.3, 0.6) > 0)
-        with pytest.raises(AccuracyError):
-            few_images.eval(np.array([0.01, 5.0, 0.05]), 0.3, 0.6)
-        with pytest.raises(AccuracyError):
-            few_images.eval(np.array([[0.01], [0.5]]), np.linspace(0, 1, 5), 0.6)
+    def test_evaluation_checks_no_bound(self, monkeypatch):
+        # the certificate is the evaluator's: no evaluation, on either side
+        # of the crossover, computes a tail bound again
+        ke = KernelEvaluator(1.0)
+        ts = np.array([1e-4, 0.05, 0.3, 0.5, 2.0])
+        expected = ke.eval(ts, 0.3, 0.6)  # the level limits are bisected here
+        calls = []
+
+        def counting(self, t, n):
+            calls.append(n)
+            return 0.0
+
+        monkeypatch.setattr(KernelEvaluator, "image_tail_bound", counting)
+        monkeypatch.setattr(KernelEvaluator, "spectral_tail_bound", counting)
+        assert ke.eval(ts, 0.3, 0.6).tobytes() == expected.tobytes()
+        assert ke.eval(0.05, 0.3, 0.6) == expected[1]
+        assert calls == []
 
     def test_crossover_continuity(self):
         ke = KernelEvaluator(1.0)
@@ -106,28 +123,14 @@ class TestPointwise:
         assert abs(below - above) < 1e-9
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            KernelEvaluator(0.0)
-        with pytest.raises(ParameterError):
-            KernelEvaluator(1.0, method="fourier")
-        with pytest.raises(ParameterError):
-            KernelEvaluator(1.0, abs_tol=0.0)
-
-
-def full_image_sum(t, x, y, L, terms=8):
-    """All 2*terms+1 images, term by term in plain floats."""
-    total = sum(
-        math.exp(-((y - x + 2 * k * L) ** 2) / (2 * t))
-        - math.exp(-((y + x + 2 * k * L) ** 2) / (2 * t))
-        for k in range(-terms, terms + 1)
-    )
-    scale = sum(
-        math.exp(-((y - x + 2 * k * L) ** 2) / (2 * t))
-        + math.exp(-((y + x + 2 * k * L) ** 2) / (2 * t))
-        for k in range(-terms, terms + 1)
-    )
-    norm = math.sqrt(2 * math.pi * t)
-    return total / norm, scale / norm
+        # the length is the one configuration; the tolerance is a constant
+        assert [f.name for f in dataclasses.fields(KernelEvaluator)] == ["length_L"]
+        assert KernelEvaluator.abs_tol == KernelEvaluator(2.0).abs_tol == 1e-10
+        for L in (0.0, -1.0):
+            with pytest.raises(ParameterError):
+                KernelEvaluator(L)
+        with pytest.raises(TypeError):
+            KernelEvaluator(1.0, abs_tol=1e-6)
 
 
 LENGTHS = st.floats(0.5, 3.0)
@@ -156,7 +159,7 @@ class TestImageCount:
         for L in (0.5, 1.0, 2.0):
             ke = KernelEvaluator(L)
             limits = np.array(_image_level_limits(ke))
-            assert limits.size == 2 * ke.image_terms - 1
+            assert limits.size == _IMAGE_LEVELS
             assert np.all(np.diff(limits) >= 0.0)
             assert np.all(limits <= ke.crossover_time)
             for n, t in enumerate(limits):
@@ -164,24 +167,20 @@ class TestImageCount:
                 below, above = ke._image_levels(np.array([t, math.nextafter(t, math.inf)]))
                 assert below <= n < above
 
-    def test_default_bound_covers_the_shifts_of_image_terms(self):
-        # the guard's bound drops the levels beyond 2*image_terms - 1
-        for terms in (1, 8):
-            ke = KernelEvaluator(1.0, image_terms=terms)
-            assert ke.image_tail_bound(0.2) == ke.image_tail_bound(0.2, 2 * terms - 1)
-
     @settings(max_examples=200, deadline=None)
     @given(L=LENGTHS, t_frac=st.floats(1e-4, 1.0, exclude_max=True), x=UNIT, y=UNIT)
+    @example(L=2.66735077481476, t_frac=0.0078125, x=1.0, y=0.5)  # cancels at x = L
     def test_own_count_within_its_bound_of_all_images(self, L, t_frac, x, y):
         ke = KernelEvaluator(L)
         t, x, y = t_frac * ke.crossover_time, x * L, y * L
         (n,) = ke._image_levels(np.array([t]))
-        top = 2 * ke.image_terms - 1
-        assert 0 <= n <= top
+        assert 0 <= n <= _IMAGE_LEVELS
         bound = ke.image_tail_bound(t, int(n))
-        if n < top:
+        if n < _IMAGE_LEVELS:
             assert bound <= _TAIL_FRACTION * ke.abs_tol
-        full, scale = full_image_sum(t, x, y, L)
+        # all images, each formed as the kernel forms it: the difference is
+        # the truncation and the order of the sum, at x = L exactly zero
+        full, (_, scale) = image_sum(t, x, y, L), full_image_sum(t, x, y, L)
         rounding = 64 * np.finfo(float).eps * scale
         assert abs(ke.eval(t, x, y) - full) <= bound + rounding
 
@@ -198,10 +197,6 @@ class TestSpectralTail:
         tail = 2.0 / L * np.exp(-math.pi**2 * t / (2.0 * L**2) * n * n).sum()
         assert tail * (1.0 - 1e-12) <= ke.spectral_tail_bound(t, N) <= tail * (1.0 + 1e-2) + 1e-300
 
-    def test_default_count_is_spectral_modes(self):
-        ke = KernelEvaluator(1.0, spectral_modes=7)
-        assert ke.spectral_tail_bound(0.01) == ke.spectral_tail_bound(0.01, 7)
-
     @settings(max_examples=200, deadline=None)
     @given(
         L=st.floats(0.1, 10.0),
@@ -210,25 +205,28 @@ class TestSpectralTail:
     )
     def test_propagator_modes_equal_the_walk_from_one(self, L, t_frac, abs_tol):
         # the walk starts at an analytic lower bound on the fewest modes;
-        # it must land where a walk from N = 1 does
-        ke = KernelEvaluator(L, abs_tol=abs_tol)
+        # it must land where a walk from N = 1 does, whatever the tolerance
+        ke = KernelEvaluator(L)
         t = t_frac * L * L
         N = 1
         while ke.spectral_tail_bound(t, N) > _TAIL_FRACTION * abs_tol:
             N += 1
-        assert ke.propagator_modes(t) == N
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "_ABS_TOL", abs_tol)
+            assert ke.propagator_modes(t) == N
 
     @pytest.mark.parametrize("n_t", [16, 64, 128, 256])
     def test_propagator_walk_is_short_at_solver_grids(self, n_t, monkeypatch):
         calls = []
         bound = KernelEvaluator.spectral_tail_bound
 
-        def counting_bound(self, t, N=None):
+        def counting_bound(self, t, N):
             calls.append(N)
             return bound(self, t, N)
 
+        ke = KernelEvaluator(1.0)  # construction certifies the 128 modes once
         monkeypatch.setattr(KernelEvaluator, "spectral_tail_bound", counting_bound)
-        KernelEvaluator(1.0).propagator_modes(1.0 / n_t)
+        ke.propagator_modes(1.0 / n_t)
         assert len(calls) <= 3
 
 
@@ -246,9 +244,9 @@ def straddling_times(ke, data):
 
 class TestBatchedEval:
     @settings(max_examples=60, deadline=None)
-    @given(L=LENGTHS, method=st.sampled_from(["auto", "image_sum"]), data=st.data())
-    def test_batch_equals_scalar_bitwise(self, L, method, data):
-        ke = KernelEvaluator(L, method=method)
+    @given(L=LENGTHS, data=st.data())
+    def test_batch_equals_scalar_bitwise(self, L, data):
+        ke = KernelEvaluator(L)
         ts = straddling_times(ke, data)
         n = ts.size
         xs = np.array(data.draw(st.lists(UNIT, min_size=n, max_size=n))) * L

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import midpoint_nodes, weak_form_residual
+from oracles import image_sum, midpoint_nodes, weak_form_residual
 from stableheat.coefficients import (
     affine,
     clipped_linear,
@@ -84,12 +84,11 @@ ASYM = StableParams(1.5, 1.0, 0.0)
 
 @functools.lru_cache(maxsize=4)
 def lag_matrices(L, T, grid):
-    """G_(k*dt)(x_all, y_q) * w_q on the image sum for k = 1..n_t: the
-    kernel the solver's sine propagator stands in for, at every grid lag."""
+    """G_(k*dt)(x_all, y_q) * w_q on the image-sum oracle for k = 1..n_t:
+    the kernel the solver's sine propagator stands in for, at every grid lag."""
     g = _grid_constants(L, T, grid)
-    ke = KernelEvaluator(length_L=L, method="image_sum")
     return np.stack([
-        ke.eval(k * g.dt, g.x_all[:, None], g.y_q[None, :]) * g.w_q
+        image_sum(k * g.dt, g.x_all[:, None], g.y_q[None, :], L) * g.w_q
         for k in range(1, grid.n_t + 1)
     ])
 
@@ -138,11 +137,11 @@ def picard_sweep(problem, noise, inputs, targets, u_left):
     Every term reads the previous iterate (targets on x_all at the n_t
     grid times, u_left at the jumps), never the one being built, so a
     state is the map's fixed point exactly when the sweep returns it.
-    Every lag, however long, is read on the kernel's image sum (``ke.eval``
-    and its lag matrices), never from the solver's sine modes.
+    Every lag, however long, is read on the image-sum oracle (``kernel``
+    and the lag matrices), never from the solver's sine modes.
     """
     x_all, y_q, w_q = inputs.x_all, inputs.y_q, inputs.w_q
-    ke = KernelEvaluator(length_L=inputs.ke.length_L, method="image_sum")
+    kernel = functools.partial(image_sum, L=inputs.ke.length_L)
     kmats, n_t, dt = inputs.kmats, inputs.n_t, inputs.dt
     v0_q, gauss = inputs.v0_q, inputs.gauss
     jt, jx, jz = inputs.jumps
@@ -166,7 +165,7 @@ def picard_sweep(problem, noise, inputs, targets, u_left):
             acc = acc + dt * (kmats[i - j] @ h[j])
         seen = jt <= t_targets[i]
         lags = np.maximum(t_targets[i] - jt[seen], 1e-18)
-        new_targets[i] = acc + kick[seen] @ ke.eval(lags[:, None], x_all, jx[seen, None])
+        new_targets[i] = acc + kick[seen] @ kernel(lags[:, None], x_all, jx[seen, None])
 
     new_left = np.empty_like(u_left)
     for l in range(jt.size):
@@ -178,9 +177,9 @@ def picard_sweep(problem, noise, inputs, targets, u_left):
         near = lags < _LAG_MIN_FACTOR * w_q * w_q  # kernel acts as the identity
         vals = np.empty(lags.size)
         vals[near] = [np.interp(jx[l], y_q, vec) for vec in vecs[near]]
-        vals[~near] = np.sum(ke.eval(lags[~near, None], jx[l], y_q) * vecs[~near], axis=1) * w_q
+        vals[~near] = np.sum(kernel(lags[~near, None], jx[l], y_q) * vecs[~near], axis=1) * w_q
         earlier = jt < jt[l]
-        pairs = ke.eval(jt[l] - jt[earlier], jx[l], jx[earlier]) @ kick[earlier]
+        pairs = kernel(jt[l] - jt[earlier], jx[l], jx[earlier]) @ kick[earlier]
         new_left[l] = weights @ vals + pairs
     return new_targets, new_left
 
@@ -625,18 +624,13 @@ class TestMildContracts:
 
     def test_former_image_sum_within_1e15(self, monkeypatch):
         # the image sum as it was before each value summed only its own
-        # certified image count: all 2*image_terms+1 shifts at every lag,
+        # certified image count: all 17 shifts |k| <= 8 at every lag,
         # reduced in numpy's own order; no grid value moves by over 1e-15
         ran = []
 
         def former_image_sum(self, t, x, y):
             ran.append(t.size)
-            k = np.arange(-self.image_terms, self.image_terms + 1)
-            shifts = (2.0 * self.length_L * k).reshape((-1,) + (1,) * t.ndim)
-            diff = y - x + shifts
-            summ = y + x + shifts
-            val = np.exp(-diff * diff / (2.0 * t)) - np.exp(-summ * summ / (2.0 * t))
-            return val.sum(axis=0) / np.sqrt(2.0 * math.pi * t)
+            return image_sum(t, x, y, self.length_L)
 
         prob = make_problem(drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0))
         moved = []
