@@ -22,7 +22,9 @@ workload, or fewer than two pairs exits 2.  A run that crashes before
 its JSON line counts as incorrect, and each metric is summarized over
 the runs that measured it, so one failed run cannot lose the others.
 The line count of each checkout's ``src/`` (its ``.py`` files, as
-``wc -l`` counts them) is recorded next to the seconds.
+``wc -l`` counts them) is recorded next to the seconds, and so are the
+commit each checkout is at and whether its files differ from it
+(``dirty``; both null outside a git checkout).
 """
 
 from __future__ import annotations
@@ -55,6 +57,20 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
 def src_lines(checkout: Path) -> int:
     """Newlines in the ``.py`` files under the checkout's ``src/``."""
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+
+
+def revision(checkout: Path) -> dict:
+    """The commit the checkout is at and whether its files differ from it:
+    a changed tracked file or an untracked one that is not ignored."""
+    def git(*args):
+        out = subprocess.run(["git", "-C", str(checkout), *args],
+                             capture_output=True, text=True, check=False)
+        return out.stdout if out.returncode == 0 else None
+
+    commit, status = git("rev-parse", "HEAD"), git("status", "--porcelain")
+    if commit is None or status is None:
+        return {"commit": None, "dirty": None}
+    return {"commit": commit.strip(), "dirty": bool(status)}
 
 
 def value(result: dict, name: str):
@@ -146,6 +162,7 @@ def main(argv=None) -> int:
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version()},
         "src_lines": {side: src_lines(checkout) for side, checkout in sides.items()},
+        "revisions": {side: revision(checkout) for side, checkout in sides.items()},
         "workloads": {},
     }
     for workload, by_side in runs.items():

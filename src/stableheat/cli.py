@@ -292,8 +292,11 @@ class RunConfig:
         modes = _number(int, solver, "modes", "solver", min(16, grid.n_x // 4))
 
         master_seed = _number(int, raw, "master_seed", "config")
+        where = "config.master_seed"
         if seed_override is not None:
-            master_seed = int(seed_override)
+            master_seed, where = int(seed_override), "--seed"
+        if master_seed < 0:  # numpy's SeedSequence takes non-negative integers only
+            raise ConfigError(f"{where} must be a non-negative integer, got {master_seed}")
 
         blocks = raw.get("experiments", {})
         _require_keys(blocks, set(EXPERIMENT_ORDER), set(), "experiments")
@@ -471,6 +474,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = _load_config(args.config, args.seed)
         out_dir = args.out or cfg.output_dir
         if args.command == "sample-noise":

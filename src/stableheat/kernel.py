@@ -25,18 +25,23 @@ y+x-2L, and every level m >= 1 holds two images at distance mL, so the
 levels beyond n are bounded by ``sum_(m>n) 2 exp(-(mL)^2/(2t)) /
 sqrt(2 pi t)``.  Each value sums only its own level count n(t), the
 smallest n whose tail bound is within ``_TAIL_FRACTION`` of ``abs_tol``
-(level 0 alone up to t = 0.0157 L^2, every lag within one step at
-n_t >= 64 and T = L^2; levels 0 and 1 up to t = 0.0644 L^2), a step
-function whose limits are bisected once per length.
+(at L = 1, level 0 alone up to t = 0.0157, every lag within one step at
+n_t >= 64 and T = 1, and levels 0 and 1 up to t = 0.0644; the bound is
+not scale-free, and level 0's limit is 0.0154 L^2 at L = 0.5), a step
+function whose limits are bisected once per length and level, on first
+need: the limit of level n only when a batch holds a t above that of
+level n-1, so solves whose lags all lie below the first limit bisect
+that one alone.
 
 ``eval`` takes arrays of t that broadcast with x and y.  A value depends
 on its own (t, x, y) only: the batch is evaluated at its largest level
 count, the levels beyond an element's own count are exact zeros, and
 levels are summed in order, so a batched value equals the scalar one
 bitwise.  The t-only quantities are computed at t's shape and the
-boundary mask at that of x and y, and the image sum adds its images one
-at a time into one accumulator, so a batch needs a few arrays of its
-output's shape, not one per image.
+boundary mask at that of x and y, and the image sum forms each image in
+one buffer and adds it into one accumulator (a level's pair first into a
+third array), so a batch needs three arrays of its output's shape, two
+at level 0 alone, and none per image.
 
 A solver propagating in N sine modes takes N from ``propagator_modes``,
 certified like n(t) at its shortest lag and so at every longer one.
@@ -75,8 +80,8 @@ class KernelEvaluator:
     abs_tol: ClassVar[float] = _ABS_TOL
 
     def __post_init__(self):
-        if self.length_L <= 0.0:
-            raise ParameterError("length_L must be positive")
+        if not 0.0 < self.length_L < math.inf:  # false for NaN
+            raise ParameterError(f"length_L must be positive and finite, got {self.length_L}")
         t_c = self.crossover_time
         for name, bound in (
             ("image sum", self.image_tail_bound(t_c, _IMAGE_LEVELS)),
@@ -136,8 +141,16 @@ class KernelEvaluator:
         return N
 
     def _image_levels(self, t: np.ndarray) -> np.ndarray:
-        """The certified level count n(t) of each element of t."""
-        return np.searchsorted(_image_level_limits(self), t, "left")
+        """The certified level count n(t) of each element of t.
+
+        Limits are read in order up to the first one at or above t's
+        largest element; the limits beyond it could not change the count."""
+        t_max, limits = t.max(), []
+        for n in range(_IMAGE_LEVELS):
+            limits.append(_image_level_limit(self, n))
+            if limits[-1] >= t_max:
+                break
+        return np.searchsorted(limits, t, "left")
 
     # -- pointwise evaluation ------------------------------------------
 
@@ -171,26 +184,30 @@ class KernelEvaluator:
 
     def _eval_image(self, t, x, y):
         levels = self._image_levels(t)
-        two_t = 2.0 * t
-        buf = np.empty(np.broadcast_shapes(t.shape, x.shape, y.shape))
+        minus_two_t = -2.0 * t
+        shape = np.broadcast_shapes(t.shape, x.shape, y.shape)
+        buf = np.empty(shape)
 
-        def image(op, shift):  # exp(-(op(y, x) + shift)^2 / (2t)), through buf
+        def image(op, shift, out=buf):  # exp((op(y, x) + shift)^2 / (-2t)), into out
             op(y, x, out=buf)
             if shift:
                 np.add(buf, shift, out=buf)
-            np.divide(np.multiply(buf, buf, out=buf), two_t, out=buf)
-            return np.exp(np.negative(buf, out=buf))  # exp never in place
+            # a / (-b) is -(a / b) exactly: exp(-(a / 2t)) with one pass less
+            np.divide(np.multiply(buf, buf, out=buf), minus_two_t, out=buf)
+            return np.exp(buf, out=out)
 
         L = self.length_L
-        total = image(np.subtract, 0.0)  # level 0: y-x, y+x, y+x-2L
+        total = image(np.subtract, 0.0, np.empty(shape))  # level 0: y-x, y+x, y+x-2L
         total -= image(np.add, 0.0)
         total -= image(np.add, -2.0 * L)
-        for m in range(1, int(levels.max()) + 1):
+        top = int(levels.max())
+        val = np.empty(shape) if top else None
+        for m in range(1, top + 1):
             if m % 2:  # y-x -+ (m+1)L, odd images
-                val = image(np.subtract, -(m + 1) * L)
+                image(np.subtract, -(m + 1) * L, val)
                 val += image(np.subtract, (m + 1) * L)
             else:  # y+x + mL and y+x - (m+2)L, reflected images
-                val = image(np.add, m * L)
+                image(np.add, m * L, val)
                 val += image(np.add, -(m + 2) * L)
             if m > levels.min():  # exact zeros beyond an element's count
                 np.copyto(val, 0.0, where=m > levels)
@@ -198,7 +215,8 @@ class KernelEvaluator:
                 total += val
             else:
                 total -= val
-        return total / np.sqrt(2.0 * math.pi * t)
+        total /= np.sqrt(2.0 * math.pi * t)
+        return total
 
     def _eval_spectral(self, t, x, y):
         L = self.length_L
@@ -210,25 +228,22 @@ class KernelEvaluator:
         return 2.0 / L * np.add.accumulate(val, axis=0)[-1]
 
 
-@functools.lru_cache(maxsize=16)
-def _image_level_limits(ke: KernelEvaluator) -> tuple:
-    """limits[n]: a t up to which the levels 0..n are certified, for each
-    level count n below the cap ``_IMAGE_LEVELS``.
+@functools.lru_cache(maxsize=16 * _IMAGE_LEVELS)
+def _image_level_limit(ke: KernelEvaluator, n: int) -> float:
+    """A t up to which the levels 0..n are certified, for a level count n
+    below the cap ``_IMAGE_LEVELS``; bisected on first need.
 
-    Each limit is bisected on (0, crossover_time], where the tail bound
+    The limit is bisected on (0, crossover_time], where the tail bound
     grows with t, and is a t at which the bound holds (or 0.0).  More
     levels hold the bound at every t where fewer do, so the bisections
-    part ways in order and the limits come out sorted.
+    of successive n part ways in order and the limits rise with n.
     """
     target = _TAIL_FRACTION * _ABS_TOL
-    limits = []
-    for n in range(_IMAGE_LEVELS):
-        lo, hi = 0.0, ke.crossover_time
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if ke.image_tail_bound(mid, n) <= target:
-                lo = mid
-            else:
-                hi = mid
-        limits.append(lo)
-    return tuple(limits)
+    lo, hi = 0.0, ke.crossover_time
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if ke.image_tail_bound(mid, n) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -62,8 +62,10 @@ class StableParams:
     def __post_init__(self):
         if not 1.0 < self.alpha < 2.0:
             raise ParameterError(f"stability index must lie in (1, 2), got {self.alpha}")
-        if self.c_plus < 0.0 or self.c_minus < 0.0:
-            raise ParameterError("tail weights must be non-negative")
+        if not (self.c_plus >= 0.0 and self.c_minus >= 0.0):  # false for NaN
+            raise ParameterError(
+                f"tail weights must be non-negative, got {self.c_plus}, {self.c_minus}"
+            )
         if abs(self.c_plus + self.c_minus - 1.0) > 1e-12:
             raise ParameterError(
                 f"tail weights must sum to 1, got {self.c_plus + self.c_minus}"
@@ -109,8 +111,11 @@ class SpaceTimeDomain:
     length_L: float
 
     def __post_init__(self):
-        if self.horizon_T <= 0.0 or self.length_L <= 0.0:
-            raise ParameterError("time horizon and spatial length must be positive")
+        if not all(0.0 < v < math.inf for v in (self.horizon_T, self.length_L)):
+            raise ParameterError(
+                "time horizon and spatial length must be positive and finite, got "
+                f"T={self.horizon_T}, L={self.length_L}"
+            )
 
 
 def expected_jump_count(

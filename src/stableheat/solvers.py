@@ -12,12 +12,14 @@ mode vectors carry the state: one holds everything at or before the
 previous grid time, the other the jumps of the last step, folded into
 the first one step later.  A jump's own step and its pairs with the
 jumps of its own step and the step before use the kernel's image sum,
-evaluated once per solve since the jumps are known before any state is;
-where dt <= 0.0157 L^2 (n_t >= 64 at T = L^2) own-step lags sum the
-three nearest images only.  What depends on the grid alone (quadrature
-nodes, sine factors, step decay) is built once per grid and shared
-read-only, and a solve binds its two coefficient formulas once.  Two
-consequences of causality are exploited deliberately:
+evaluated before the march since the jumps are known before any state
+is, into a jump table built once per realization and grid, per thread
+(the two solves of a comparison path share one); at L = 1, where
+dt <= 0.0157 (n_t >= 64 at T = 1), own-step lags sum the three nearest
+images only.  What depends on the grid alone (quadrature nodes, sine
+factors, step decay) is built once per grid and shared read-only, and a
+solve binds its two coefficient formulas once.  Two consequences of
+causality are exploited deliberately:
 
 * one forward pass in time order computes the exact fixed point of the
   map, with no iteration and no tolerance (the cross-cutoff consistency
@@ -34,13 +36,16 @@ tau in the step j with s_j < tau <= s_(j+1) of ``GridSpec.times`` (step
 0 for tau = 0): ``GridSpec.step_of`` is that one rule.
 
 Both solvers are deterministic functions of (problem, noise, grid) and
-share immutable inputs, so concurrent solves need no locking.
+share immutable inputs, so concurrent solves need no locking: the jump
+table one solve leaves for the next is its thread's own.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
+import weakref
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
@@ -287,7 +292,7 @@ def _jump_table(g, noise, grid):
     None of it depends on the state, so a solve builds it once, with one
     ``eval`` call per kind.  ``GridSpec.step_of`` puts each jump in one
     step (s_j, s_(j+1)], back after its left end and ahead before its
-    right end.  The table holds first (the jumps of step
+    right end.  The table holds the tuple first (the jumps of step
     j are first[j]:first[j+1]) and, per time-sorted jump l, t, x, z, back,
     near[l] = back_l < lag_min (there the kernel acts as the identity),
     rows[l] = G(back_l, x_l, y_q) * w_q (zero where near), jj[l][k] =
@@ -319,10 +324,44 @@ def _jump_table(g, noise, grid):
         rows[~near] = ke.eval(back[~near, None], x[~near, None], y_q) * w_q
         jj[earlier] = ke.eval(lag[earlier], x[pair_l[earlier]], x[pair_k[earlier]])
     e_jump = _basis_matrix(x, rates.size, ke.length_L)
+    e_back = np.exp(-back[:, None] * rates) * e_jump
+    e_ahead = np.exp(-ahead[:, None] * rates) * e_jump
+    for arr in (back, near, rows, jj, cols, e_back, e_ahead):  # solves may share a table
+        arr.setflags(write=False)
     return (
-        first, t, x, z, back, near, rows, [jj[i:k] for i, k in zip(offset[:-1], offset[1:])],
-        cols, np.exp(-back[:, None] * rates) * e_jump, np.exp(-ahead[:, None] * rates) * e_jump,
+        tuple(first.tolist()), t, x, z, back, near, rows,
+        [jj[i:k] for i, k in zip(offset[:-1], offset[1:])], cols, e_back, e_ahead,
     )
+
+
+# Per thread, the jump table of the last solve, left for the next solve on
+# the thread: the two solves of a comparison path share one realization,
+# and so one table.  Each path runs on one thread, so a thread's entry is
+# its own.
+_last_table = threading.local()
+
+
+def _shared_jump_table(g, noise, grid):
+    """``_jump_table(g, noise, grid)``, or the table the thread's last solve
+    left when it was on this realization and grid.  The realization is
+    matched by identity: its arrays are read-only, and it fixes the domain,
+    hence ``g``.  The solve that reuses a table takes it, and a table is
+    dropped with its realization, so it outlives neither the realization
+    nor the two solves of a path."""
+    last, _last_table.entry = getattr(_last_table, "entry", None), None
+    if last is not None and last[0]() is noise and last[1] == grid:
+        return last[2]
+    table = _jump_table(g, noise, grid)
+    _last_table.entry = (weakref.ref(noise, _drop_table), grid, table)
+    return table
+
+
+def _drop_table(ref):
+    """Drop the thread's table once its realization is gone.  Called in the
+    thread that lets the realization go; in another one the entry waits for
+    its own thread's next solve."""
+    if getattr(_last_table, "entry", (None,))[0] is ref:
+        _last_table.entry = None
 
 
 def _march(drift, phi, noise, g, v0_q, jumps, gauss, out):
@@ -338,20 +377,21 @@ def _march(drift, phi, noise, g, v0_q, jumps, gauss, out):
     the modes at a lag below dt.  A jump's own step (its row on the step's
     source, its column on the step's target) and jump-jump pairs in its
     own step and the step before use the image sum, precomputed in
-    ``jumps``.  Step j's target on x_all is built in one buffer: its first
-    ``out.shape[1]`` values go to ``out[j]`` and its values on y_q are the
-    next step's source.  Returns u_left, the state at each jump's left
-    limit.
+    ``jumps``.  Every step's target on x_all is built in one buffer: its
+    first ``out.shape[1]`` values go to ``out[j]`` and its values on y_q
+    are the next step's source.  One pass after the march finds the first
+    step whose values in ``out`` or whose jumps' left limits are not
+    finite, and raises ``BlowUpError`` naming it.  Returns u_left, the
+    state at each jump's left limit.
     """
-    dt, y_q, basis, proj, step = g.dt, g.y_q, g.basis, g.proj, g.step
+    dt, y_q, basis_t, proj, step = g.dt, g.y_q, g.basis.T, g.proj, g.step
     n_q, n_out = y_q.size, out.shape[1]
     mu = noise.compensator_mu
     first, jt, jx, jz, back, near, rows, jj, cols, e_back, e_ahead = jumps
-    n_t = first.size - 1
+    n_t = len(first) - 1
     c, c_prev = np.zeros(step.size), 0.0
     u_j = v0_q  # the state on y_q at s_j
-    bad = np.zeros(n_t, bool)  # steps whose target is non-finite
-    probe = np.zeros(basis.shape[0])  # target @ probe is nan iff target is non-finite
+    target = np.empty(basis_t.shape[1])  # step j's target on x_all
     u_left = np.empty(jx.size)
     kick = np.empty(jx.size)  # phi(tau-, x, u(tau-)) * z per jump
     for j in range(n_t):
@@ -360,27 +400,30 @@ def _march(drift, phi, noise, g, v0_q, jumps, gauss, out):
             drift, phi, mu, j * dt, y_q, u_j, None if gauss is None else gauss[j]
         )
         own = v0_q if j == 0 else 0.0  # v_0 is read like step 0's source
-        now = slice(first[j], first[j + 1])
-        older = first[max(j - 1, 0)]
+        start, stop = first[j], first[j + 1]
+        older = first[j - 1] if j else 0
         # Jumps in (s_j, s_(j+1)], in time order: each reads its own step's
         # source on the image sum, the older state in modes, and the jumps
         # of its own step and the step before on the image sum.
-        for l in range(now.start, now.stop):
+        for l in range(start, stop):
             vec = own + back[l] * h
             val = float(np.interp(jx[l], y_q, vec)) if near[l] else float(rows[l] @ vec)
             val += float(e_back[l] @ c) + float(jj[l] @ kick[older:l])
             u_left[l] = val
             kick[l] = float(phi(jt[l], jx[l], val)) * jz[l]
         c = step * (c + c_prev + proj @ (own + dt * h))
-        target = c @ basis.T
+        np.matmul(c, basis_t, out=target)  # h and u_j are read: target is free
         c_prev = 0.0
-        if now.start < now.stop:  # a step without jumps adds nothing
-            target += kick[now] @ cols[now]
-            c_prev = kick[now] @ e_ahead[now]
-        bad[j] = math.isnan(target @ probe)  # a third the cost of np.isfinite().all()
+        if start < stop:  # a step without jumps adds nothing
+            target += kick[start:stop] @ cols[start:stop]
+            c_prev = kick[start:stop] @ e_ahead[start:stop]
         out[j] = target[:n_out]
         u_j = target[-n_q:]
 
+    # A non-finite mode state or kick reaches every value of its step's
+    # target (NaN or inf times the boundary's zero is NaN), so the step's
+    # grid values show it; a non-finite left limit need not reach any.
+    bad = ~np.isfinite(out).all(axis=1)
     bad[np.repeat(np.arange(n_t), np.diff(first))[~np.isfinite(u_left)]] = True
     if bad.any():
         j = int(np.argmax(bad))
@@ -427,7 +470,7 @@ def solve_mild(
     values[0, [0, -1]] = 0.0
     _march(
         problem.drift.bind(), problem.noise_coef.bind(), noise, g,
-        problem.init.values(g.y_q), _jump_table(g, noise, grid), gauss, values[1:],
+        problem.init.values(g.y_q), _shared_jump_table(g, noise, grid), gauss, values[1:],
     )
 
     return GridSolution(

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -126,3 +127,40 @@ def test_src_line_counts_of_both_checkouts_are_recorded(tmp_path, runs):
     assert bench_pairs.src_lines(ROOT) == sum(
         len(p.read_text().splitlines()) for p in (ROOT / "src").rglob("*.py")
     )
+
+
+def test_revision_of_each_checkout_is_recorded(tmp_path, runs, monkeypatch):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))  # no repository above
+    def git(repo, *args):
+        subprocess.run(
+            ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+             "-c", "commit.gpgsign=false", *args],
+            check=True, capture_output=True,
+        )
+
+    sides = {}
+    for side in ("before", "after"):
+        repo = sides[side] = tmp_path / side
+        (repo / "src").mkdir(parents=True)
+        (repo / "src" / "a.py").write_text("x = 1\n")
+        (repo / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        git(repo, "init", "-q")
+        git(repo, "add", "-A")
+        git(repo, "commit", "-q", "-m", side)
+    (sides["after"] / "src" / "a.py").write_text("x = 2\n")  # a change not committed
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(
+        ["--before", str(sides["before"]), "--after", str(sides["after"]), "--pairs", "2",
+         "--out", str(out), "--workloads", "verify-desk", "--traced"]
+    ) == 0
+    revisions = json.loads(out.read_text())["revisions"]
+    assert [revisions[side]["dirty"] for side in ("before", "after")] == [False, True]
+    for side, repo in sides.items():
+        head = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"],
+                              capture_output=True, text=True, check=True).stdout.strip()
+        assert revisions[side]["commit"] == head and len(head) == 40
+    (sides["before"] / "new.py").write_text("")  # an untracked file counts as dirty
+    assert bench_pairs.revision(sides["before"])["dirty"] is True
+    plain = tmp_path / "plain"  # not a git checkout
+    plain.mkdir()
+    assert bench_pairs.revision(plain) == {"commit": None, "dirty": None}

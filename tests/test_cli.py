@@ -617,6 +617,35 @@ class TestVerify:
         code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code != EXIT_VALIDATION, capsys.readouterr().err
 
+    def test_nan_length_exits_validation(self, tmp_path, capsys):
+        # Python's json reads NaN; the domain refuses it before any sampling
+        cfg = tmp_path / "config.json"
+        raw = dict(BASE_CONFIG, experiments={"stopping_law": VALID_BLOCKS["stopping_law"]})
+        cfg.write_text(json.dumps(dict(raw, domain={"horizon_T": 1.0, "length_L": math.nan})))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == (
+            EXIT_VALIDATION
+        )
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, overrides, where",
+        [
+            (["--seed", "-1"], {}, "--seed"),
+            ([], {"master_seed": -1}, "config.master_seed"),
+            (["--threads", "0"], {}, "--threads"),
+            (["--threads", "-2"], {}, "--threads"),
+        ],
+    )
+    def test_bad_seed_or_worker_count_exits_validation(
+        self, tmp_path, capsys, flags, overrides, where
+    ):
+        overrides = dict(overrides, experiments={"moment_estimate": {"n_paths": 2}})
+        cfg = write_config(tmp_path, overrides)
+        argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]
+        assert main(argv) == EXIT_VALIDATION
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # refused before any output
+
     def test_experiment_order_names_every_run(self):
         runs = {n.removeprefix("run_") for n in experiments.__all__ if n.startswith("run_")}
         assert set(EXPERIMENT_ORDER) == runs

@@ -23,8 +23,25 @@ from stableheat.kernel import (
     _SERIES_MODES,
     _TAIL_FRACTION,
     KernelEvaluator,
-    _image_level_limits,
+    _image_level_limit,
 )
+
+
+def eager_limits(ke):
+    """Every level's limit, bisected in one loop as the kernel once did at
+    its first evaluation: the reference for the limits bisected on demand."""
+    target = _TAIL_FRACTION * ke.abs_tol
+    limits = []
+    for n in range(_IMAGE_LEVELS):
+        lo, hi = 0.0, ke.crossover_time
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if ke.image_tail_bound(mid, n) <= target:
+                lo = mid
+            else:
+                hi = mid
+        limits.append(lo)
+    return limits
 
 
 class TestPointwise:
@@ -126,7 +143,7 @@ class TestPointwise:
         # the length is the one configuration; the tolerance is a constant
         assert [f.name for f in dataclasses.fields(KernelEvaluator)] == ["length_L"]
         assert KernelEvaluator.abs_tol == KernelEvaluator(2.0).abs_tol == 1e-10
-        for L in (0.0, -1.0):
+        for L in (0.0, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ParameterError):
                 KernelEvaluator(L)
         with pytest.raises(TypeError):
@@ -153,12 +170,12 @@ class TestImageCount:
         assert np.all(ke._image_levels(lags) <= 1)
         assert ke.image_tail_bound(1.0 / 16.0, 1) <= _TAIL_FRACTION * ke.abs_tol
         # the bisected limits of levels 0 and 1 at L = 1
-        assert _image_level_limits(ke)[:2] == pytest.approx((0.015731, 0.064351), rel=1e-4)
+        assert eager_limits(ke)[:2] == pytest.approx((0.015731, 0.064351), rel=1e-4)
 
     def test_limits_certify_their_count(self):
         for L in (0.5, 1.0, 2.0):
             ke = KernelEvaluator(L)
-            limits = np.array(_image_level_limits(ke))
+            limits = np.array(eager_limits(ke))
             assert limits.size == _IMAGE_LEVELS
             assert np.all(np.diff(limits) >= 0.0)
             assert np.all(limits <= ke.crossover_time)
@@ -166,6 +183,33 @@ class TestImageCount:
                 assert ke.image_tail_bound(t, n) <= _TAIL_FRACTION * ke.abs_tol
                 below, above = ke._image_levels(np.array([t, math.nextafter(t, math.inf)]))
                 assert below <= n < above
+
+    @pytest.mark.parametrize("L", [0.5, 1.0, 2.0])
+    def test_limits_bisected_on_demand_equal_the_eager_ones(self, L, monkeypatch):
+        ke = KernelEvaluator(L)
+        eager = eager_limits(ke)
+        _image_level_limit.cache_clear()
+        bounds = []
+        tail_bound = KernelEvaluator.image_tail_bound
+
+        def counting_bound(self, t, level):
+            bounds.append(level)
+            return tail_bound(self, t, level)
+
+        monkeypatch.setattr(KernelEvaluator, "image_tail_bound", counting_bound)
+        # a batch below the first limit, as every solver lag at L = 1 = T, n_t >= 128
+        lags = np.linspace(1e-9, 1.0, 40) * eager[0]
+        assert np.all(ke._image_levels(lags) == 0)
+        assert set(bounds) == {0}  # level 0 alone was bisected
+        for n in range(_IMAGE_LEVELS):  # a batch reaching just past limit n-1
+            t = np.array([eager[0] / 2, math.nextafter(eager[n - 1], math.inf) if n else eager[0]])
+            np.testing.assert_array_equal(ke._image_levels(t), np.searchsorted(eager, t))
+            # bisected up to the first limit at or above the batch's largest t
+            assert max(bounds) == min(np.searchsorted(eager, t.max()), _IMAGE_LEVELS - 1)
+        lazy = [_image_level_limit(ke, n) for n in range(_IMAGE_LEVELS)]
+        assert lazy == eager  # bitwise: the same bisection, level by level
+        t = np.array([ke.crossover_time * 0.999, *eager])
+        np.testing.assert_array_equal(ke._image_levels(t), np.searchsorted(eager, t))
 
     @settings(max_examples=200, deadline=None)
     @given(L=LENGTHS, t_frac=st.floats(1e-4, 1.0, exclude_max=True), x=UNIT, y=UNIT)
@@ -232,7 +276,7 @@ class TestSpectralTail:
 
 def straddling_times(ke, data):
     """Times on both sides of the first image-level limits and of the crossover."""
-    edges = list(_image_level_limits(ke)[:2]) + [ke.crossover_time]
+    edges = eager_limits(ke)[:2] + [ke.crossover_time]
     near = [
         e * (1.0 + side * data.draw(st.floats(1e-12, 1e-3)))
         for e in edges

@@ -128,6 +128,21 @@ class TestSampling:
         with pytest.raises(ParameterError):
             sample_noise(SYM, TruncationSpec(1.0, 0.05), DOM, -1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_domain_refused(self, bad):
+        # a NaN fails no "<= 0" test, and an infinite domain has no grid
+        with pytest.raises(ParameterError, match="finite"):
+            SpaceTimeDomain(bad, 1.0)
+        with pytest.raises(ParameterError, match="finite"):
+            SpaceTimeDomain(1.0, bad)
+
+    @pytest.mark.parametrize(
+        "weights", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)]
+    )
+    def test_nan_tail_weight_refused(self, weights):
+        with pytest.raises(ParameterError):
+            StableParams(1.5, *weights)
+
     def test_jump_count_law(self):
         # mean and variance of the Poisson count, 3 standard errors
         trunc = TruncationSpec(1.0, 0.1)

@@ -1,5 +1,9 @@
 import functools
 import math
+import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -641,11 +645,111 @@ class TestMildContracts:
                 ran.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(KernelEvaluator, "_eval_image", former_image_sum)
-                    former = solve_mild(prob, noise, grid).values
+                    # a copy of the realization: the same one would reuse its table
+                    former = solve_mild(prob, replace(noise), grid).values
                 # the patch took effect: the former sum served this solve
                 assert sum(ran) > 0
                 moved.append(np.max(np.abs(now - former)))
         assert max(moved) <= 1e-15
+
+    def test_second_solve_on_a_realization_reuses_its_table(self, monkeypatch):
+        # u and v of a comparison path: one realization, one grid, one table
+        calls = []
+        eval_orig = KernelEvaluator.eval
+
+        def counting_eval(self, *args):
+            calls.append(np.broadcast(*args).size)
+            return eval_orig(self, *args)
+
+        monkeypatch.setattr(KernelEvaluator, "eval", counting_eval)
+        prob_u = make_problem(drift=affine(0.0, 0.1), noise_coef=clipped_linear(0.4, 2.0))
+        prob_v = make_problem(drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0))
+        noise, grid = sample_noise(SYM, TRUNC, DOM, 5), GridSpec(32, 16)
+        assert noise.jump_count > 0
+        u = solve_mild(prob_u, noise, grid)
+        assert len(calls) == 3
+        v = solve_mild(prob_v, noise, grid)
+        assert len(calls) == 3  # no kernel call: the table is reused
+        # a copy of the realization, or another grid, builds its own table
+        copy = replace(noise)
+        assert np.array_equal(solve_mild(prob_v, copy, grid).values, v.values)
+        assert len(calls) == 6
+        solve_mild(prob_v, copy, GridSpec(16, 8))
+        assert len(calls) == 9
+        assert np.array_equal(solve_mild(prob_u, noise, grid).values, u.values)
+        assert len(calls) == 12
+
+    def test_table_outlives_neither_its_reuse_nor_its_realization(self):
+        prob = make_problem(drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0))
+        noise, grid = sample_noise(SYM, TRUNC, DOM, 5), GridSpec(16, 8)
+        solve_mild(prob, noise, grid)
+        assert solvers._last_table.entry[0]() is noise
+        solve_mild(prob, noise, grid)  # the reusing solve takes the table
+        assert solvers._last_table.entry is None
+        solve_mild(prob, noise, grid)
+        del noise  # the last reference: the table goes with the realization
+        assert solvers._last_table.entry is None
+
+    def test_threads_reuse_only_their_own_table(self):
+        # two threads, each solving its own realization twice, interleaved
+        # at a short switch interval: every solve equals a cold one bitwise
+        prob_u = make_problem(drift=affine(0.0, 0.1), noise_coef=clipped_linear(0.4, 2.0))
+        prob_v = make_problem(drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0))
+        grid = GridSpec(32, 16)
+        noises = [sample_noise(SYM, TRUNC, DOM, seed) for seed in (5, 6)]
+        cold = [
+            [solve_mild(prob, replace(noise), grid).values for prob in (prob_u, prob_v)]
+            for noise in noises
+        ]
+        start = threading.Barrier(2, timeout=30)
+
+        def worker(i):
+            start.wait()
+            return [
+                [solve_mild(prob, noises[i], grid).values for prob in (prob_u, prob_v)]
+                for _ in range(5)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(worker, i) for i in range(2)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, runs in enumerate(results):
+            for pair in runs:
+                assert all(np.array_equal(a, b) for a, b in zip(pair, cold[i]))
+
+    @pytest.mark.parametrize("j0", [0, 5, 15])
+    @pytest.mark.parametrize("where", ["integrand", "kick"])
+    def test_planted_nan_names_its_step(self, monkeypatch, j0, where):
+        # a NaN in step j0's drift source, or in the kick of a jump of step
+        # j0 whose left limit is finite, is named as step j0 and no other
+        grid = GridSpec(16, 8)
+        dt = grid.dt(1.0)
+        tau = (j0 + 0.5) * dt
+        noise = manual_noise([0.5 * dt, tau, 1.0], [0.3, 0.6, 0.4], [0.5, -0.5, 0.5])
+        prob = make_problem(drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0))
+        if where == "integrand":
+            column = solvers._integrand_column
+
+            def planted(drift, phi, mu, s, *args):
+                col = column(drift, phi, mu, s, *args)
+                return col * math.nan if s == j0 * dt else col
+
+            monkeypatch.setattr(solvers, "_integrand_column", planted)
+        else:
+            bind = type(prob.noise_coef).bind
+
+            def planted_bind(spec):
+                phi = bind(spec)
+                return lambda t, x, u: math.nan if np.isscalar(t) and t == tau else phi(t, x, u)
+
+            monkeypatch.setattr(type(prob.noise_coef), "bind", planted_bind)
+        with pytest.raises(BlowUpError, match=re.escape(f"({j0 * dt:.6g}, {(j0 + 1) * dt:.6g}]")):
+            solve_mild(prob, noise, grid)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
