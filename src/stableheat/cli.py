@@ -289,7 +289,9 @@ class RunConfig:
         if method not in ("mild", "galerkin", "both"):
             raise ConfigError("solver.method must be one of mild, galerkin, both")
         window_steps = _number(int, solver, "window_steps", "solver")
-        modes = _number(int, solver, "modes", "solver", min(16, grid.n_x // 4))
+        modes = _number(int, solver, "modes", "solver", max(1, min(16, grid.n_x // 4)))
+        if not 1 <= modes <= grid.n_x:  # solve_galerkin's quadrature has 4 n_x nodes
+            raise ConfigError(f"solver.modes must lie in [1, n_x] = [1, {grid.n_x}], got {modes}")
 
         master_seed = _number(int, raw, "master_seed", "config")
         where = "config.master_seed"
@@ -470,11 +472,12 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=1, help="path-level workers")
+        if name == "verify":
+            p.add_argument("--threads", type=int, default=1, help="path-level workers")
 
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
+        if args.command == "verify" and args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = _load_config(args.config, args.seed)
         out_dir = args.out or cfg.output_dir

@@ -21,11 +21,14 @@ A realization holds its jumps as three parallel time-sorted arrays
 arrays directly.
 
 All objects here are immutable after construction and safe to share
-across threads; parallelism is across seeds, never within a draw.
+across threads; parallelism is across seeds, never within a draw.  A
+realization's memo for the solvers holds only deterministic functions of
+its draw (a read-only jump table per grid), so sharing it stays safe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
@@ -151,6 +154,8 @@ class NoiseRealization:
     because the solvers assign jumps to time steps by that order.  A
     realization is its law (``params``, ``truncation``, ``domain``) plus
     its draw; the compensator drift is a function of the law alone.
+    ``_jump_tables`` is not a field: ``replace`` starts with an empty
+    memo, and ``==``, ``repr`` and the text format ignore it.
     """
 
     params: StableParams
@@ -179,6 +184,11 @@ class NoiseRealization:
                 raise ParameterError("jump magnitudes must lie in (eps, K]")
         for arr in (self.taus, self.xs, self.zs):
             arr.setflags(write=False)
+
+    @functools.cached_property
+    def _jump_tables(self) -> dict:
+        """``solvers.solve_mild``'s jump tables of this draw, by ``GridSpec``."""
+        return {}
 
     @property
     def compensator_mu(self) -> float:

@@ -13,13 +13,13 @@ previous grid time, the other the jumps of the last step, folded into
 the first one step later.  A jump's own step and its pairs with the
 jumps of its own step and the step before use the kernel's image sum,
 evaluated before the march since the jumps are known before any state
-is, into a jump table built once per realization and grid, per thread
-(the two solves of a comparison path share one); at L = 1, where
-dt <= 0.0157 (n_t >= 64 at T = 1), own-step lags sum the three nearest
-images only.  What depends on the grid alone (quadrature nodes, sine
-factors, step decay) is built once per grid and shared read-only, and a
-solve binds its two coefficient formulas once.  Two consequences of
-causality are exploited deliberately:
+is, into a jump table built once per realization and grid and kept on
+the realization (the two solves of a comparison path share one); at
+L = 1, where dt <= 0.0157 (n_t >= 64 at T = 1), own-step lags sum the
+three nearest images only.  What depends on the grid alone (quadrature
+nodes, sine factors, step decay) is built once per grid and shared
+read-only, and a solve binds its two coefficient formulas once.  Two
+consequences of causality are exploited deliberately:
 
 * one forward pass in time order computes the exact fixed point of the
   map, with no iteration and no tolerance (the cross-cutoff consistency
@@ -36,16 +36,15 @@ tau in the step j with s_j < tau <= s_(j+1) of ``GridSpec.times`` (step
 0 for tau = 0): ``GridSpec.step_of`` is that one rule.
 
 Both solvers are deterministic functions of (problem, noise, grid) and
-share immutable inputs, so concurrent solves need no locking: the jump
-table one solve leaves for the next is its thread's own.
+share immutable inputs, so concurrent solves need no locking: a jump
+table is a read-only function of its realization and grid, so two
+solves that build one at once build bitwise-equal copies.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
-import weakref
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
@@ -191,7 +190,6 @@ class SpectralSolution:
     m: int
     problem: ProblemSpec
     grid: GridSpec
-    solver_tag: str = "galerkin"
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.coeffs)):
@@ -334,36 +332,6 @@ def _jump_table(g, noise, grid):
     )
 
 
-# Per thread, the jump table of the last solve, left for the next solve on
-# the thread: the two solves of a comparison path share one realization,
-# and so one table.  Each path runs on one thread, so a thread's entry is
-# its own.
-_last_table = threading.local()
-
-
-def _shared_jump_table(g, noise, grid):
-    """``_jump_table(g, noise, grid)``, or the table the thread's last solve
-    left when it was on this realization and grid.  The realization is
-    matched by identity: its arrays are read-only, and it fixes the domain,
-    hence ``g``.  The solve that reuses a table takes it, and a table is
-    dropped with its realization, so it outlives neither the realization
-    nor the two solves of a path."""
-    last, _last_table.entry = getattr(_last_table, "entry", None), None
-    if last is not None and last[0]() is noise and last[1] == grid:
-        return last[2]
-    table = _jump_table(g, noise, grid)
-    _last_table.entry = (weakref.ref(noise, _drop_table), grid, table)
-    return table
-
-
-def _drop_table(ref):
-    """Drop the thread's table once its realization is gone.  Called in the
-    thread that lets the realization go; in another one the entry waits for
-    its own thread's next solve."""
-    if getattr(_last_table, "entry", (None,))[0] is ref:
-        _last_table.entry = None
-
-
 def _march(drift, phi, noise, g, v0_q, jumps, gauss, out):
     """The mild map over the whole horizon, solved in one causal pass.
 
@@ -453,7 +421,9 @@ def solve_mild(
     forward pass in time order computes its fixed point exactly: grid
     source, then the jumps up to the next grid time, then that target.
     The grid's constants come from ``_grid_constants``, built once per
-    grid, and f and phi are bound once per solve.
+    grid, the jump table from the realization's memo, built once per
+    realization and grid (the realization fixes the domain, hence the
+    constants), and f and phi are bound once per solve.
     """
     _check_noise_matches(problem, noise)
 
@@ -465,12 +435,16 @@ def solve_mild(
         # reproduces sum G * phi * dW over the cells of one step.
         gauss = noise.gaussian_increments(n_t, g.y_q.size) / (g.dt * g.w_q)
 
+    jumps = noise._jump_tables.get(grid)
+    if jumps is None:
+        jumps = noise._jump_tables[grid] = _jump_table(g, noise, grid)
+
     values = np.empty((n_t + 1, n_x + 1))
     values[0] = problem.init.values(g.x_out)
     values[0, [0, -1]] = 0.0
     _march(
         problem.drift.bind(), problem.noise_coef.bind(), noise, g,
-        problem.init.values(g.y_q), _shared_jump_table(g, noise, grid), gauss, values[1:],
+        problem.init.values(g.y_q), jumps, gauss, values[1:],
     )
 
     return GridSolution(
@@ -478,7 +452,6 @@ def solve_mild(
         problem=problem,
         grid=grid,
         picard_iterations=[1],
-        solver_tag="mild",
     )
 
 

@@ -372,6 +372,27 @@ class TestSolve:
         assert "moment_estimate.p" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("modes", [0, -3, 9], ids=["zero", "negative", "n_x-plus-1"])
+    def test_modes_outside_one_to_n_x_exits_validation(self, tmp_path, capsys, modes):
+        # the Galerkin solver's own limit at n_x = 8, refused before any output
+        cfg = write_config(tmp_path, {"solver": {"method": "both", "modes": modes}})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert "solver.modes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "n_x, solver, modes",
+        [(2, {}, 1), (3, {}, 1), (4, {}, 1), (64, {}, 16), (128, {}, 16), (8, {"modes": 8}, 8)],
+        ids=["default-2", "default-3", "default-4", "default-64", "default-128", "n_x"],
+    )
+    def test_modes_default_at_least_one_and_n_x_accepted(self, tmp_path, n_x, solver, modes):
+        solver = dict(solver, method="both")
+        cfg = write_config(tmp_path, {"grid": {"n_t": 4, "n_x": n_x}, "solver": solver})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "solutions" / "discrepancy.json").read_text())["modes"] == modes
+
     @pytest.mark.parametrize(
         "overrides, where",
         [
@@ -645,6 +666,16 @@ class TestVerify:
         assert main(argv) == EXIT_VALIDATION
         assert where in capsys.readouterr().err
         assert not (tmp_path / "o").exists()  # refused before any output
+
+    @pytest.mark.parametrize("command", ["sample-noise", "solve"])
+    def test_threads_is_a_verify_flag(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "2"]
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2  # argparse's usage error
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_experiment_order_names_every_run(self):
         runs = {n.removeprefix("run_") for n in experiments.__all__ if n.startswith("run_")}

@@ -3,8 +3,9 @@ import math
 import re
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -67,6 +68,38 @@ def make_problem(drift=None, noise_coef=None, init=None, trunc=TRUNC, params=SYM
         noise_coef=noise_coef or zero(),
         init=init or ic_sine_mode(1, 1.0, 1.0),
     )
+
+
+def count_eval_calls(monkeypatch):
+    """The list to which every later ``KernelEvaluator.eval`` call appends
+    its point count."""
+    calls, eval_orig = [], KernelEvaluator.eval
+
+    def counting_eval(self, *args):
+        calls.append(np.broadcast(*args).size)
+        return eval_orig(self, *args)
+
+    monkeypatch.setattr(KernelEvaluator, "eval", counting_eval)
+    return calls
+
+
+def on_two_threads(worker):
+    """[worker(0), worker(1)], started together on two threads that switch
+    every microsecond."""
+    start = threading.Barrier(2, timeout=30)
+
+    def started(i):
+        start.wait()
+        return worker(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(started, i) for i in range(2)]
+            return [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def manual_noise(taus, xs, zs, trunc=TRUNC, params=SYM):
@@ -654,14 +687,7 @@ class TestMildContracts:
 
     def test_second_solve_on_a_realization_reuses_its_table(self, monkeypatch):
         # u and v of a comparison path: one realization, one grid, one table
-        calls = []
-        eval_orig = KernelEvaluator.eval
-
-        def counting_eval(self, *args):
-            calls.append(np.broadcast(*args).size)
-            return eval_orig(self, *args)
-
-        monkeypatch.setattr(KernelEvaluator, "eval", counting_eval)
+        calls = count_eval_calls(monkeypatch)
         prob_u = make_problem(drift=affine(0.0, 0.1), noise_coef=clipped_linear(0.4, 2.0))
         prob_v = make_problem(drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0))
         noise, grid = sample_noise(SYM, TRUNC, DOM, 5), GridSpec(32, 16)
@@ -676,19 +702,56 @@ class TestMildContracts:
         assert len(calls) == 6
         solve_mild(prob_v, copy, GridSpec(16, 8))
         assert len(calls) == 9
+        # the realization still holds its table
         assert np.array_equal(solve_mild(prob_u, noise, grid).values, u.values)
-        assert len(calls) == 12
+        assert len(calls) == 9
 
-    def test_table_outlives_neither_its_reuse_nor_its_realization(self):
+    def test_every_later_solve_on_a_realization_reuses_its_tables(self, monkeypatch):
+        # one table per grid stays on the realization: solves that alternate
+        # grids and problems call eval on each grid's first solve only
+        calls = count_eval_calls(monkeypatch)
+        prob_u = make_problem(drift=affine(0.0, 0.1), noise_coef=clipped_linear(0.4, 2.0))
+        prob_v = make_problem(drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0))
+        noise = sample_noise(SYM, TRUNC, DOM, 5)
+        grids = (GridSpec(32, 16), GridSpec(16, 8))
+        for grid in grids:
+            solve_mild(prob_u, noise, grid)
+        assert len(calls) == 6
+        for _ in range(2):
+            for grid in grids:
+                for prob in (prob_u, prob_v):
+                    solve_mild(prob, noise, grid)
+        assert len(calls) == 6
+
+    def test_table_dies_with_its_realization(self, monkeypatch):
+        # the table lives exactly as long as its realization
+        rows, build = [], solvers._jump_table
+
+        def recording_build(*args):
+            table = build(*args)
+            rows.append(weakref.ref(table[6]))
+            return table
+
+        monkeypatch.setattr(solvers, "_jump_table", recording_build)
         prob = make_problem(drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0))
         noise, grid = sample_noise(SYM, TRUNC, DOM, 5), GridSpec(16, 8)
-        solve_mild(prob, noise, grid)
-        assert solvers._last_table.entry[0]() is noise
-        solve_mild(prob, noise, grid)  # the reusing solve takes the table
-        assert solvers._last_table.entry is None
-        solve_mild(prob, noise, grid)
-        del noise  # the last reference: the table goes with the realization
-        assert solvers._last_table.entry is None
+        for _ in range(3):
+            solve_mild(prob, noise, grid)
+        assert len(rows) == 1 and rows[0]() is not None
+        del noise  # the last reference
+        assert rows[0]() is None
+
+    def test_table_memo_is_not_a_field(self, tmp_path):
+        prob = make_problem(drift=affine(0.0, 0.2), noise_coef=clipped_linear(0.4, 2.0))
+        noise = sample_noise(SYM, TRUNC, DOM, 5)
+        before = (repr(noise), [f.name for f in fields(noise)])
+        noise.save_text(tmp_path / "before.txt")
+        solve_mild(prob, noise, GridSpec(16, 8))
+        noise.save_text(tmp_path / "after.txt")
+        assert (repr(noise), [f.name for f in fields(noise)]) == before
+        assert (tmp_path / "before.txt").read_bytes() == (tmp_path / "after.txt").read_bytes()
+        copy = replace(noise)
+        assert copy == noise and not copy._jump_tables
 
     def test_threads_reuse_only_their_own_table(self):
         # two threads, each solving its own realization twice, interleaved
@@ -701,26 +764,38 @@ class TestMildContracts:
             [solve_mild(prob, replace(noise), grid).values for prob in (prob_u, prob_v)]
             for noise in noises
         ]
-        start = threading.Barrier(2, timeout=30)
 
         def worker(i):
-            start.wait()
             return [
                 [solve_mild(prob, noises[i], grid).values for prob in (prob_u, prob_v)]
                 for _ in range(5)
             ]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                futures = [pool.submit(worker, i) for i in range(2)]
-                results = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for i, runs in enumerate(results):
+        for i, runs in enumerate(on_two_threads(worker)):
             for pair in runs:
                 assert all(np.array_equal(a, b) for a, b in zip(pair, cold[i]))
+
+    def test_threads_share_one_realizations_table(self):
+        # two threads solving the same fresh realizations at a short switch
+        # interval, in opposite problem order: whichever thread builds a
+        # table, or both do, every solve equals a cold one bitwise
+        probs = [
+            make_problem(drift=affine(0.0, b), noise_coef=clipped_linear(0.4, 2.0))
+            for b in (0.1, 0.2)
+        ]
+        grid = GridSpec(32, 16)
+        noises = [sample_noise(SYM, TRUNC, DOM, seed) for seed in (5, 6)]
+        cold = [[solve_mild(prob, replace(noise), grid).values for prob in probs] for noise in noises]
+        shared = [replace(noises[k % 2]) for k in range(10)]
+
+        def worker(i):
+            order = probs if i == 0 else probs[::-1]
+            return [[solve_mild(prob, noise, grid).values for prob in order] for noise in shared]
+
+        for i, runs in enumerate(on_two_threads(worker)):
+            for k, pair in enumerate(runs):
+                expected = cold[k % 2] if i == 0 else cold[k % 2][::-1]
+                assert all(np.array_equal(a, b) for a, b in zip(pair, expected))
 
     @pytest.mark.parametrize("j0", [0, 5, 15])
     @pytest.mark.parametrize("where", ["integrand", "kick"])
