@@ -10,7 +10,6 @@ config-driven command-line entry point).
 """
 
 from .coefficients import (
-    AuditReport,
     CoefficientSpec,
     InitialCondition,
     affine,

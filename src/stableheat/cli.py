@@ -6,7 +6,9 @@ is reproducible from the config file alone.  Each JSON object's keys
 are the parameters of the constructor it builds (see ``_kwargs``);
 unknown keys are rejected rather than ignored, and every command
 validates the whole config, experiment blocks included, before it runs
-anything.
+anything.  A command writes its outputs only once all its sampling,
+solving and experiments are done, so a run that exits 2 or 3 writes
+nothing.
 
 Exit codes: 0 success, 2 validation/config error, 3 numerical error,
 4 experiment failure.
@@ -107,7 +109,7 @@ def _parameters(fn):
 
 # Annotations (strings: every module postpones them) of the parameters
 # that hold a JSON number or a list of them.
-_NUMBER_KINDS = {"float": float, "int": int, "float | None": float}
+_NUMBER_KINDS = {"float": float, "int": int}
 _LIST_KINDS = {"Sequence[float]": float, "Sequence[int]": int}
 
 
@@ -371,12 +373,12 @@ def _config_hash(cfg: RunConfig) -> str:
 
 def cmd_sample_noise(cfg: RunConfig, out_dir: str) -> int:
     """Write one noise realization in the columnar format plus metadata."""
-    _echo_config(cfg, out_dir)
-    noise_dir = os.path.join(out_dir, "noise")
-    os.makedirs(noise_dir, exist_ok=True)
     realization = sample_noise(
         cfg.problem.params, cfg.problem.trunc, cfg.problem.dom, cfg.master_seed
     )
+    _echo_config(cfg, out_dir)
+    noise_dir = os.path.join(out_dir, "noise")
+    os.makedirs(noise_dir, exist_ok=True)
     base = os.path.join(noise_dir, f"noise_seed{cfg.master_seed}")
     realization.save_text(base + ".txt")
     _write_json(
@@ -395,10 +397,7 @@ def cmd_sample_noise(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
-    """Run the selected solver(s) and write CSV + metadata (+ discrepancy)."""
-    _echo_config(cfg, out_dir)
-    sol_dir = os.path.join(out_dir, "solutions")
-    os.makedirs(sol_dir, exist_ok=True)
+    """Run the selected solver(s), then write CSV + metadata (+ discrepancy)."""
     cfg.problem.validate()
     realization = sample_noise(
         cfg.problem.params, cfg.problem.trunc, cfg.problem.dom, cfg.master_seed
@@ -409,17 +408,19 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
             solve_galerkin(cfg.problem, realization, cfg.solver_modes, cfg.grid)
         ),
     }
-    written = {}
-    for name, solve in solvers.items():
-        if cfg.solver_method not in (name, "both"):
-            continue
-        sol = written[name] = solve()
+    solutions = {
+        name: solve() for name, solve in solvers.items() if cfg.solver_method in (name, "both")
+    }
+    _echo_config(cfg, out_dir)
+    sol_dir = os.path.join(out_dir, "solutions")
+    os.makedirs(sol_dir, exist_ok=True)
+    for name, sol in solutions.items():
         sol.save_csv(os.path.join(sol_dir, f"{name}.csv"))
         meta = sol.metadata()
         meta.update({"config_hash": _config_hash(cfg), "seed": cfg.master_seed})
         _write_json(os.path.join(sol_dir, f"{name}.meta.json"), meta)
     if cfg.solver_method == "both":
-        mild, galerkin = written["mild"], written["galerkin"]
+        mild, galerkin = solutions["mild"], solutions["galerkin"]
         delta = mild.values - galerkin.values
         dx = cfg.grid.dx(cfg.problem.dom.length_L)
         _write_json(
@@ -434,26 +435,29 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str, threads: int = 1) -> int:
-    """Run every selected experiment; exit 0 only if all pass."""
+    """Run every selected experiment, then write the reports; exit 0 only if
+    all pass."""
     if not cfg.experiments:
         raise ConfigError("verify requires at least one experiment in the config")
+    reports = [
+        getattr(exp, f"run_{name}")(**kwargs, threads=threads)
+        for name, kwargs in cfg.experiments.items()
+    ]
     _echo_config(cfg, out_dir)
     report_dir = os.path.join(out_dir, "reports")
     os.makedirs(report_dir, exist_ok=True)
-    outcomes = []
-    for name, kwargs in cfg.experiments.items():
-        report = getattr(exp, f"run_{name}")(**kwargs, threads=threads)
+    for report in reports:
         report.write(report_dir)
-        outcomes.append((name, report.passed))
+    results = {report.name: report.passed for report in reports}
     _write_json(
         os.path.join(report_dir, "summary.json"),
         {
             "config_hash": _config_hash(cfg),
-            "results": {name: passed for name, passed in outcomes},
-            "all_passed": all(p for _, p in outcomes),
+            "results": results,
+            "all_passed": all(results.values()),
         },
     )
-    failing = [name for name, passed in outcomes if not passed]
+    failing = [name for name, passed in results.items() if not passed]
     if failing:
         print(f"experiment failed: {failing[0]} (see {report_dir})", file=sys.stderr)
         return EXIT_EXPERIMENT

@@ -44,7 +44,6 @@ from .noise import SpaceTimeDomain
 __all__ = [
     "CoefficientSpec",
     "InitialCondition",
-    "AuditReport",
     "zero",
     "constant",
     "affine",
@@ -262,14 +261,6 @@ _DIRICHLET_SAMPLES = 512
 _NONNEGATIVE_SAMPLES = 2048
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    """Outcome of a randomized coefficient audit that passed."""
-
-    passed: bool
-    n_samples: int
-
-
 def _sample_points(n, dom: SpaceTimeDomain, extremes):
     """n random (t, x, u, v) points of [0, T] x [0, L], then u = ``extremes``
     (v reversed) at t = 0, spread over [0, L]."""
@@ -300,22 +291,18 @@ def _raise_at_first(bad, what, **coords) -> None:
 
 
 def validate_hypothesis(
-    spec: CoefficientSpec,
-    dom: SpaceTimeDomain,
-    require_monotone: bool = False,
-    *,
-    n_samples: int = _AUDIT_SAMPLES,
-) -> AuditReport:
+    spec: CoefficientSpec, dom: SpaceTimeDomain, require_monotone: bool = False
+) -> None:
     """Randomized audit of the declared Lipschitz/growth/monotone metadata on
     the problem's domain: t in [0, T] and x in [0, L] of ``dom``.
 
     Raises :class:`HypothesisError` with a witness tuple on the first
-    violation; the audit samples random (t, x, u, v) quadruples plus the
-    family's analytic extreme u-values, so a pass is backed by at least
-    ``n_samples`` points.
+    violation; the audit samples ``_AUDIT_SAMPLES`` random (t, x, u, v)
+    quadruples plus the family's analytic extreme u-values, so a pass is
+    backed by at least that many points.
     """
     slack = 1e-9 * (1.0 + spec.lipschitz_bound + spec.growth_bound)
-    t, x, u, v = _sample_points(n_samples, dom, _u_extremes(spec))
+    t, x, u, v = _sample_points(_AUDIT_SAMPLES, dom, _u_extremes(spec))
     fu, fv = spec.evaluate(t, x, u), spec.evaluate(t, x, v)
     _raise_at_first(
         np.abs(fu - fv) > spec.lipschitz_bound * np.abs(u - v) + slack,
@@ -336,14 +323,12 @@ def validate_hypothesis(
             spec.evaluate(t, x, lo) > spec.evaluate(t, x, hi) + slack,
             "non-decreasing in u", t=t, x=x, u=lo, v=hi,
         )
-    return AuditReport(passed=True, n_samples=int(t.size))
 
 
-def dominates(
-    spec_f: CoefficientSpec, spec_g: CoefficientSpec, dom: SpaceTimeDomain
-) -> AuditReport:
+def dominates(spec_f: CoefficientSpec, spec_g: CoefficientSpec, dom: SpaceTimeDomain) -> None:
     """Randomized check that f <= g on the problem's domain: t in [0, T] and
-    x in [0, L] of ``dom`` (ordering gate)."""
+    x in [0, L] of ``dom`` (ordering gate).  Raises :class:`HypothesisError`
+    with a witness on the first violation."""
     extremes = np.concatenate([_u_extremes(spec_f), _u_extremes(spec_g)])
     t, x, u, _ = _sample_points(_AUDIT_SAMPLES, dom, extremes)
     gv = spec_g.evaluate(t, x, u)
@@ -351,7 +336,6 @@ def dominates(
         spec_f.evaluate(t, x, u) > gv + 1e-12 * (1.0 + np.abs(gv)),
         "ordering f <= g", t=t, x=x, u=u,
     )
-    return AuditReport(passed=True, n_samples=int(u.size))
 
 
 # -- initial conditions ---------------------------------------------------

@@ -45,8 +45,5 @@ class DeltaSingularityError(NumericalError):
 
 
 class BlowUpError(NumericalError):
-    """Non-finite values appeared in a solution path."""
-
-    def __init__(self, message, path_seed=None):
-        super().__init__(message)
-        self.path_seed = path_seed
+    """Non-finite values appeared in a solution path; the message names its
+    noise seed."""

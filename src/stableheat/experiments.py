@@ -189,9 +189,8 @@ def _experiment(run):
 
     The body returns the report's other fields.  The inputs hash covers
     the experiment name and every argument of the call but ``threads``,
-    defaults applied: ``None`` is left out, a ``ProblemSpec`` enters by
-    ``canonical()``, a ``GridSpec`` as ``(n_t, n_x)`` and any other
-    dataclass by its fields.
+    defaults applied: a ``ProblemSpec`` enters by ``canonical()``, a
+    ``GridSpec`` as ``(n_t, n_x)`` and any other dataclass by its fields.
     """
     name = run.__name__.removeprefix("run_")
     signature = inspect.signature(run)
@@ -201,9 +200,7 @@ def _experiment(run):
         t_start = time.perf_counter()
         call = signature.bind(*args, **kwargs)
         call.apply_defaults()
-        inputs = {
-            k: _hashed(v) for k, v in call.arguments.items() if v is not None and k != "threads"
-        }
+        inputs = {k: _hashed(v) for k, v in call.arguments.items() if k != "threads"}
         blob = json.dumps({"experiment": name, **inputs}, sort_keys=True, default=str).encode()
         fields = run(*call.args, **call.kwargs)
         return ExperimentReport(
@@ -336,7 +333,6 @@ def run_comparison(
     grid: GridSpec,
     n_paths: int,
     seed: int,
-    tol: float | None = None,
     *,
     threads: int = 1,
 ) -> ExperimentReport:
@@ -350,8 +346,8 @@ def run_comparison(
     depend on u, where the jumps would cancel in u - v.  Each path solves
     both problems on one shared realization and records the largest
     positive excursion of (u - v) over the grid; all excursions must stay
-    below the calibrated tolerance, and the positive-part energy must stay
-    below tol^2 * L at every grid time.
+    below tol = 10 * calibrate_grid_error(problem_u, grid), and the
+    positive-part energy must stay below tol^2 * L at every grid time.
     """
     if (
         problem_u.params != problem_v.params
@@ -380,8 +376,7 @@ def run_comparison(
             f"u0 <= v0 (max excess {float(du0.max()):.3e})"
         )
 
-    if tol is None:
-        tol = 10.0 * calibrate_grid_error(problem_u, grid)
+    tol = 10.0 * calibrate_grid_error(problem_u, grid)
     dx = grid.dx(L)
     energy_cap = tol * tol * L
 
@@ -425,11 +420,11 @@ def run_nonnegativity(
     grid: GridSpec,
     n_paths: int,
     seed: int,
-    tol: float | None = None,
     *,
     threads: int = 1,
 ) -> ExperimentReport:
-    """Solutions from non-negative data stay above -tol on every path.
+    """Solutions from non-negative data stay above -tol on every path, with
+    tol = 10 * calibrate_grid_error(problem, grid).
 
     Gates: the jumps must be one-sided (c_minus = 0), the initial profile
     must be non-negative and both coefficients must vanish at zero state
@@ -447,8 +442,7 @@ def run_nonnegativity(
                 "not vanish at zero state"
             )
     problem.validate()
-    if tol is None:
-        tol = 10.0 * calibrate_grid_error(problem, grid)
+    tol = 10.0 * calibrate_grid_error(problem, grid)
 
     zero_case = problem.init.family == "zero"
 
@@ -521,8 +515,8 @@ def run_consistency(
         rn = sample_noise(problem.params, trunc, problem.dom, seed_i)
         r_small = noise_mod.restrict(rn, K_small)
         r_large = noise_mod.restrict(rn, K_large)
-        u_small = solve_mild(problem.with_truncation(r_small.truncation), r_small, grid)
-        u_large = solve_mild(problem.with_truncation(r_large.truncation), r_large, grid)
+        u_small = solve_mild(replace(problem, trunc=r_small.truncation), r_small, grid)
+        u_large = solve_mild(replace(problem, trunc=r_large.truncation), r_large, grid)
         r_stop = stopping_time(r_large, K_small)
         i_max = grid.n_t if math.isinf(r_stop) else grid.step_of(problem.dom.horizon_T, r_stop)
         rows = slice(0, i_max + 1)

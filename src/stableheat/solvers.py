@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -129,9 +129,6 @@ class ProblemSpec:
         validate_hypothesis(self.drift, self.dom)
         validate_hypothesis(self.noise_coef, self.dom, require_monotone)
         self.init.validate_dirichlet(self.dom.length_L)
-
-    def with_truncation(self, trunc: TruncationSpec) -> "ProblemSpec":
-        return replace(self, trunc=trunc)
 
     def canonical(self) -> dict:
         return {
@@ -397,8 +394,7 @@ def _march(drift, phi, noise, g, v0_q, jumps, gauss, out):
         j = int(np.argmax(bad))
         raise BlowUpError(
             f"non-finite state in step ({j * dt:.6g}, {(j + 1) * dt:.6g}] of the "
-            f"mild solve, noise seed {noise.seed}",
-            path_seed=noise.seed,
+            f"mild solve, noise seed {noise.seed}"
         )
     return u_left
 
@@ -559,8 +555,7 @@ def solve_galerkin(
         if not np.all(np.isfinite(a)):
             raise BlowUpError(
                 f"non-finite coefficients in step ({s[i]:.6g}, {s[i + 1]:.6g}] of the "
-                f"{m}-mode Galerkin solve, noise seed {noise.seed}",
-                path_seed=noise.seed,
+                f"{m}-mode Galerkin solve, noise seed {noise.seed}"
             )
         coeffs[i + 1] = a
 

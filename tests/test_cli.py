@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,8 +61,8 @@ MALFORMED = {
     "consistency": ("K_small", True),
     "galerkin_convergence": ("m_list", [1, 2.5]),
     "moment_estimate": ("p", "two"),
-    "comparison": ("tol", "big"),
-    "nonnegativity": ("tol", [0.1]),
+    "comparison": ("n_paths", "big"),
+    "nonnegativity": ("n_paths", [0.1]),
 }
 REQUIRED = {
     "stopping_law": "n_paths",
@@ -76,7 +77,7 @@ REQUIRED = {
 def malformed_block_cases():
     """(experiments, where) per experiment: a malformed number, a missing
     required key, an unknown key.  A valid stopping_law block comes first,
-    so a config checked only when each block's turn comes writes a report."""
+    so a config checked only when each block's turn comes samples noise."""
     for name, valid in VALID_BLOCKS.items():
         key, bad = MALFORMED[name]
         required = REQUIRED[name]
@@ -116,6 +117,17 @@ def fixed_section_cases():
             for case, block in blocks.items():
                 where = f"{section}.{key}_typo" if case == "unknown" else f"{section}.{key}"
                 yield pytest.param(section, block, where, id=f"{section}-{case}-{key}")
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Fail the test if an experiment samples noise: the config is refused
+    while it is read, before any path runs."""
+
+    def sample_noise(*args, **kwargs):
+        raise AssertionError("noise sampled before the config was refused")
+
+    monkeypatch.setattr(experiments, "sample_noise", sample_noise)
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -205,10 +217,9 @@ class TestSolve:
                 "solver": {"method": "mild", "window_steps": 1},
             },
         )
-        assert (
-            main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
-            == EXIT_NUMERICAL
-        )
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -542,7 +553,7 @@ class TestVerify:
     @pytest.mark.parametrize("experiment, section, seed", [
         ("consistency", {"K_small": 0.5, "K_large": 1.0, "n_paths": 3}, path_seed(11, 0)),
         ("moment_estimate", {"n_paths": 2}, path_seed(11, 0)),
-        ("nonnegativity", {"n_paths": 2, "tol": 1.0}, path_seed(11, 0)),
+        ("nonnegativity", {"n_paths": 2}, path_seed(11, 0)),
         ("galerkin_convergence", {"m_list": [1, 2]}, 11),  # one path, the master seed
     ], ids=["consistency", "moment_estimate", "nonnegativity", "galerkin_convergence"])
     def test_blow_up_names_experiment_path_seed_and_window(
@@ -565,6 +576,7 @@ class TestVerify:
         assert f"{experiment} path 0:" in err, err
         assert f"noise seed {seed}" in err, err
         assert re.search(r"step \([\d.]+, [\d.]+\] of the mild solve", err), err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "experiments, where",
@@ -587,20 +599,27 @@ class TestVerify:
                 id="m-list-not-list",
             ),
             *malformed_block_cases(),
+            *(
+                # the verdict's bar is ten times the calibration error, not a key
+                pytest.param(
+                    {name: dict(VALID_BLOCKS[name], tol=1.0)}, f"{name}.tol", id=f"{name}-tol"
+                )
+                for name in ("comparison", "nonnegativity")
+            ),
         ],
     )
     def test_malformed_experiment_value_exits_validation(
-        self, tmp_path, capsys, experiments, where
+        self, tmp_path, capsys, no_sampling, experiments, where
     ):
         cfg = write_config(tmp_path, {"experiments": experiments})
         out = tmp_path / "o"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
         assert where in capsys.readouterr().err
-        assert not list((out / "reports").glob("*"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, block, where", list(fixed_section_cases()))
     def test_malformed_fixed_section_exits_validation(
-        self, tmp_path, capsys, section, block, where
+        self, tmp_path, capsys, no_sampling, section, block, where
     ):
         cfg = write_config(
             tmp_path,
@@ -609,7 +628,7 @@ class TestVerify:
         out = tmp_path / "o"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
         assert where in capsys.readouterr().err
-        assert not list((out / "reports").glob("*"))
+        assert not out.exists()
 
     def test_grid_rejected_where_the_experiment_takes_none(self, tmp_path, capsys):
         block = dict(VALID_BLOCKS["stopping_law"], grid={"n_t": 8, "n_x": 4})
@@ -793,3 +812,41 @@ class TestVerify:
         effective = json.loads((out / "effective_config.json").read_text())
         assert effective["solver"]["method"] == "mild"
         assert effective["truncation"]["gaussian_correction"] is False
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Shipped configs with one value changed that only the command's own run
+# refuses: a declared bound that the solve's audit refutes, an ordering that
+# the comparison gate refutes, and a p that moment_estimate refuses after
+# three experiments have run.
+LATE_REFUSALS = [
+    pytest.param(
+        "solve", "desk_verify.json", ("coefficients", "drift", "lipschitz_bound"), 0.01,
+        "Lipschitz bound", id="solve-audit",
+    ),
+    pytest.param(
+        "verify", "comparison_demo.json",
+        ("experiments", "comparison", "problem_u", "drift", "params", "delta"), 0.5,
+        "ordering f <= g", id="comparison-gate",
+    ),
+    pytest.param(
+        "verify", "desk_verify.json", ("experiments", "moment_estimate", "p"), 1.2,
+        "p must lie in", id="moment-estimate-p",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, name, keys, value, why", LATE_REFUSALS)
+def test_a_refused_run_writes_nothing(tmp_path, capsys, command, name, keys, value, why):
+    raw = json.loads((CONFIGS / name).read_text())
+    section = raw
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    cfg = tmp_path / name
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert why in capsys.readouterr().err
+    assert not out.exists()

@@ -392,14 +392,6 @@ class TestReports:
         b = run_moment_estimate(p, GridSpec(16, 8), 4, 2.0, seed=5, threads=3)
         assert a.to_json_dict() == b.to_json_dict()
 
-    @pytest.mark.parametrize("run", [run_nonnegativity, run_comparison])
-    def test_an_explicit_tol_enters_the_inputs_hash(self, run):
-        # reports checked against different tolerances must not share a hash
-        p = problem(params=POS, init=ic_zero())
-        args = (p,) if run is run_nonnegativity else (p, p)
-        hashes = {run(*args, GridSpec(16, 8), 2, 5, tol).inputs_hash for tol in (None, 1e-9, 0.5)}
-        assert len(hashes) == 3
-
 
 def hash_cases(run):
     """The arguments of ``run`` that have no default, and for every argument
@@ -416,12 +408,12 @@ def hash_cases(run):
                  n_paths=1, seed=5),
             dict(problem_u=problem(POS, init=ic_sine_mode(1, 0.8, 1.0)),
                  problem_v=problem(POS, drift=shifted(affine(0.0, 0.2), 0.5)),
-                 grid=GridSpec(8, 8), n_paths=2, tol=0.5),
+                 grid=GridSpec(8, 8), n_paths=2),
         ),
         run_nonnegativity: (
             dict(problem=problem(POS, init=ic_zero()), grid=GridSpec(8, 4), n_paths=1, seed=5),
             dict(problem=problem(POS, init=ic_bump(1.0, 0.5, 0.6)), grid=GridSpec(8, 8),
-                 n_paths=2, tol=0.5),
+                 n_paths=2),
         ),
         run_consistency: (
             dict(problem=problem(trunc=coupled), seed=17, K_small=0.5, K_large=1.0,

@@ -141,10 +141,7 @@ def test_vanishing_at_zero_state_holds_pointwise(family, data, length_L):
 @given(data=st.data(), length_L=LENGTHS)
 def test_declared_bounds_pass_the_audit(family, data, length_L):
     spec = draw_family(data, COEFFICIENT_FAMILIES, family, length_L)
-    report = validate_hypothesis(
-        spec, SpaceTimeDomain(1.0, length_L), spec.monotone_in_u, n_samples=2000
-    )
-    assert report.passed
+    validate_hypothesis(spec, SpaceTimeDomain(1.0, length_L), spec.monotone_in_u)
 
 
 @pytest.mark.parametrize("family", sorted(COEFFICIENT_FAMILIES))
@@ -153,7 +150,7 @@ def test_declared_bounds_pass_the_audit(family, data, length_L):
 def test_ordering_gate_sees_a_constant_shift(family, data, length_L, d):
     g = draw_family(data, COEFFICIENT_FAMILIES, family, length_L)
     dom = SpaceTimeDomain(1.0, length_L)
-    assert dominates(shifted(g, -d), g, dom).passed
+    dominates(shifted(g, -d), g, dom)
     with pytest.raises(HypothesisError) as err:
         dominates(shifted(g, d), g, dom)
     assert 0.0 <= err.value.witness[1] <= length_L
@@ -199,7 +196,7 @@ def test_ordering_gate_matches_dense_evaluation(f, g, horizon_T, length_L):
         assert 0.0 <= t_w <= horizon_T and 0.0 <= x_w <= length_L
         assert f.evaluate(t_w, x_w, u_w) > g.evaluate(t_w, x_w, u_w)
     else:
-        assert dominates(f, g, dom).passed
+        dominates(f, g, dom)
 
 
 def test_ordering_gate_samples_the_kinks_of_a_shifted_base():
@@ -218,7 +215,7 @@ def test_a_subnormal_clip_slope_has_no_kink_at_infinity():
     # evaluate 0*inf in the zero-slope affine side
     g = shifted(clipped_linear(5e-324, 1.0), 0.0)
     assert _u_extremes(g).tolist() == [*_AUDIT_U_RANGE, 0.0]
-    assert dominates(affine(0.0, 0.0), g, SpaceTimeDomain(1.0, 1.0)).passed
+    dominates(affine(0.0, 0.0), g, SpaceTimeDomain(1.0, 1.0))
 
 
 def same_bits(got, want) -> bool:

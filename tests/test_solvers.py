@@ -849,8 +849,8 @@ class TestMildContracts:
         base = sample_noise(SYM, TruncationSpec(1.0, 0.01), DOM, 321)
         r_small, r_large = restrict(base, 0.5), restrict(base, 1.0)
         grid = GridSpec(32, 16)
-        u_s = solve_mild(prob.with_truncation(r_small.truncation), r_small, grid)
-        u_l = solve_mild(prob.with_truncation(r_large.truncation), r_large, grid)
+        u_s = solve_mild(replace(prob, trunc=r_small.truncation), r_small, grid)
+        u_l = solve_mild(replace(prob, trunc=r_large.truncation), r_large, grid)
         r_stop = stopping_time(base, 0.5)
         rows = int(np.ceil(r_stop / grid.dt(1.0) - 1e-12))
         assert rows >= 1
